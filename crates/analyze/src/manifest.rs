@@ -106,17 +106,36 @@ impl Manifest {
                 entry(
                     "crates/core/src/stages.rs",
                     &[
-                        "gate",
                         "classify",
                         "localize_peaks",
-                        "localize",
                         "track_peaks",
-                        "track",
                         "run_frame",
                         "run_frame_observed",
                         "observe",
                     ],
                 ),
+                // Session frame path: chunk ingestion, framing, the per-frame
+                // drive loop and event emission.
+                entry(
+                    "crates/core/src/api.rs",
+                    &[
+                        "with_channel_views",
+                        "process_frame_with",
+                        "push_input_with",
+                        "push_chunk_with",
+                        "ingest_and_drain",
+                        "push_interleaved",
+                    ],
+                ),
+                entry("crates/core/src/trigger.rs", &["process_frame"]),
+                entry("crates/dsp/src/level.rs", &["signal_power"]),
+                // Detection front-end: per-frame features and template match.
+                entry(
+                    "crates/sed/src/baseline.rs",
+                    &["predict_with_confidence_into", "mean_log_mel_into"],
+                ),
+                entry("crates/features/src/mel.rs", &["apply_into"]),
+                entry("crates/features/src/spectrogram.rs", &["power_frame_into"]),
                 // Observability substrate: everything a traced frame touches.
                 // Registration and snapshotting are cold and allocate by
                 // design; the record/push/read paths may not.
@@ -202,7 +221,7 @@ impl Manifest {
                 // are cold control-plane code and allocate by design.
                 entry(
                     "crates/serve/src/host.rs",
-                    &["push_chunk", "schedule", "note_transitions"],
+                    &["push_chunk", "schedule", "next_ready", "note_transitions"],
                 ),
                 entry(
                     "crates/serve/src/worker.rs",

@@ -4,8 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ispot_dsp::fft::Fft;
 use ispot_dsp::generator::{NoiseKind, NoiseSource};
-use ispot_features::gcc::GccPhat;
-use ispot_features::mfcc::{MfccConfig, MfccExtractor};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -18,18 +16,6 @@ fn bench_kernels(c: &mut Criterion) {
     let fft = Fft::new(2048);
     group.bench_function("fft_2048_real", |b| {
         b.iter(|| black_box(fft.forward_real(black_box(&signal[..2048])).unwrap()))
-    });
-
-    let gcc = GccPhat::new(2048).unwrap();
-    let x = &signal[..2048];
-    let y = &signal[100..2148];
-    group.bench_function("gcc_phat_2048", |b| {
-        b.iter(|| black_box(gcc.correlate(black_box(x), black_box(y), 32).unwrap()))
-    });
-
-    let mfcc = MfccExtractor::new(MfccConfig::default(), 16_000.0).unwrap();
-    group.bench_function("mfcc_1s_clip", |b| {
-        b.iter(|| black_box(mfcc.compute(black_box(&signal)).unwrap()))
     });
     group.finish();
 }

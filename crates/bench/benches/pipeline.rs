@@ -23,21 +23,34 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_frame");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(5));
+    let mut latest = LatestEvent::new();
     group.bench_function("detection_only", |b| {
-        b.iter(|| black_box(detection_only.process_frame(black_box(&frame), 0).unwrap()))
+        b.iter(|| {
+            black_box(
+                detection_only
+                    .process_frame_with(black_box(&frame), 0, &mut latest)
+                    .unwrap(),
+            )
+        })
     });
     group.bench_function("detection_and_localization", |b| {
-        b.iter(|| black_box(full.process_frame(black_box(&frame), 0).unwrap()))
+        b.iter(|| {
+            black_box(
+                full.process_frame_with(black_box(&frame), 0, &mut latest)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }
 
-/// Streaming (`push_chunk_into` with capture-sized chunks) against batch
-/// (`process_recording`) over the same recording. The two process identical frames
-/// through identical stages, so any gap between them is pure framing overhead; with
-/// the preallocated assembler and recycled frame buffers the streaming path should
-/// sit within noise of batch — this bench is the regression guard for the
-/// zero-per-frame-allocation property of the mixdown/framing path.
+/// Streaming (`push_chunk_with` with capture-sized chunks) against batch
+/// (`process_recording_with`) over the same recording, into the same sink. The
+/// two process identical frames through identical stages, so any gap between
+/// them is pure framing overhead; with the preallocated assembler and recycled
+/// frame buffers the streaming path should sit within noise of batch — this
+/// bench is the regression guard for the zero-per-frame-allocation property of
+/// the mixdown/framing path.
 fn bench_streaming_vs_batch(c: &mut Criterion) {
     let (audio, _array) = simulate_static_source(30.0, 20.0, 2, 32_768, 11);
     let engine = PipelineBuilder::new(SAMPLE_RATE)
@@ -52,7 +65,14 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(5));
     group.bench_function("batch_process_recording", |b| {
         let mut pipeline = engine.open_session();
-        b.iter(|| black_box(pipeline.process_recording(black_box(&audio)).unwrap()))
+        let mut sink = AlertCounter::new();
+        b.iter(|| {
+            black_box(
+                pipeline
+                    .process_recording_with(black_box(&audio), &mut sink)
+                    .unwrap(),
+            )
+        })
     });
     // 160 samples = one 10 ms capture block at 16 kHz, the awkward driver-sized
     // chunking the FrameAssembler exists to absorb.

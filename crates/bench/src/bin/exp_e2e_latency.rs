@@ -11,12 +11,12 @@
 //!    low-complexity SRP front-end), confirming the speedup factor on this machine.
 
 use ispot_bench::{
-    cross3d_baseline_graph, print_header, print_row, simulate_static_source, SAMPLE_RATE,
+    cross3d_baseline_graph, print_header, print_row, simulate_static_source, time_kernel,
+    SAMPLE_RATE,
 };
 use ispot_codesign::dse::DesignPoint;
 use ispot_codesign::ir::{OpKind, OpNode};
 use ispot_codesign::platform::EdgePlatform;
-use ispot_codesign::profiler::HostProfiler;
 use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{SrpConfig, SrpPhat};
 
@@ -90,18 +90,17 @@ fn main() {
     let conventional = SrpPhat::new(config, &array, SAMPLE_RATE).expect("srp");
     let fast = SrpPhatFast::new(config, &array, SAMPLE_RATE).expect("fast srp");
     let frame: Vec<&[f64]> = audio.channels().iter().map(|c| &c[4096..6144]).collect();
-    let profiler = HostProfiler::new(2, 10);
     // Both sides reuse scratch so the ratio reflects the algorithms, not allocation.
     let mut conv_scratch = conventional.make_scratch();
     let mut conv_map = ispot_ssl::srp_phat::SrpMap::default();
-    let conv = profiler.measure("conventional", || {
+    let conv = time_kernel(2, 10, || {
         conventional
             .compute_map_into(&frame, &mut conv_scratch, &mut conv_map)
             .unwrap()
     });
     let mut scratch = fast.make_scratch();
     let mut map = ispot_ssl::srp_phat::SrpMap::default();
-    let fst = profiler.measure("fast", || {
+    let fst = time_kernel(2, 10, || {
         fast.compute_map_into(&frame, &mut scratch, &mut map)
             .unwrap()
     });

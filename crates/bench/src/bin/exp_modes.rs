@@ -57,7 +57,10 @@ fn main() {
             .mode(mode)
             .build()
             .expect("pipeline");
-        let events = pipeline.process_recording(&audio).expect("processing");
+        let mut events = Vec::new();
+        pipeline
+            .process_recording_with(&audio, &mut events)
+            .expect("processing");
         let first_alert = events.iter().find(|e| e.is_alert());
         let wake_latency_ms = first_alert
             .map(|e| (e.time_s - quiet_len as f64 / SAMPLE_RATE).max(0.0) * 1e3 + frame_ms)

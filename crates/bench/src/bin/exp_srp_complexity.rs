@@ -15,8 +15,9 @@
 //!   speedups over the conventional implementation), the machine-readable perf
 //!   trajectory consumed by CI.
 
-use ispot_bench::{print_header, print_row, simulate_static_source, SAMPLE_RATE};
-use ispot_codesign::profiler::{HostProfiler, ProfileRecord};
+use ispot_bench::{
+    print_header, print_row, simulate_static_source, time_kernel, KernelTime, SAMPLE_RATE,
+};
 use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
 use ispot_ssl::srp_phat::{SrpConfig, SrpMap, SrpPhat};
 
@@ -37,29 +38,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frame: Vec<&[f64]> = audio.channels().iter().map(|c| &c[4096..6144]).collect();
 
     let (warmup, reps) = if smoke { (1, 3) } else { (5, 50) };
-    let profiler = HostProfiler::new(warmup, reps);
 
     let mut conv_scratch = conventional.make_scratch();
     let mut conv_map = SrpMap::default();
-    let conv_time = profiler.measure("conventional", || {
+    let conv_time = time_kernel(warmup, reps, || {
         conventional
             .compute_map_into(&frame, &mut conv_scratch, &mut conv_map)
             .expect("map")
     });
     let mut fast_scratch = fast.make_scratch();
     let mut scalar_map = SrpMap::default();
-    let scalar_time = profiler.measure("scalar_fast", || {
+    let scalar_time = time_kernel(warmup, reps, || {
         fast.compute_map_reference_into(&frame, &mut fast_scratch, &mut scalar_map)
             .expect("map")
     });
     let mut simd_map = SrpMap::default();
-    let simd_time = profiler.measure("simd_fast", || {
+    let simd_time = time_kernel(warmup, reps, || {
         fast.compute_map_into(&frame, &mut fast_scratch, &mut simd_map)
             .expect("map")
     });
     let mut hier_scratch = hierarchical.make_scratch();
     let mut hier_map = SrpMap::default();
-    let hier_time = profiler.measure("hierarchical", || {
+    let hier_time = time_kernel(warmup, reps, || {
         hierarchical
             .compute_map_into(&frame, &mut hier_scratch, &mut hier_map)
             .expect("map")
@@ -71,12 +71,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     print_row("grid directions", config.num_directions);
     print_row("frame length (samples)", config.frame_len);
-    print_row("profiler repetitions", reps);
+    print_row("timed repetitions", reps);
     println!();
-    let speedup = |t: &ProfileRecord| conv_time.mean_ms / t.mean_ms;
-    for time in [&conv_time, &scalar_time, &simd_time, &hier_time] {
+    let speedup = |t: &KernelTime| conv_time.mean_ms / t.mean_ms;
+    let variants = [
+        ("conventional", &conv_time),
+        ("scalar_fast", &scalar_time),
+        ("simd_fast", &simd_time),
+        ("hierarchical", &hier_time),
+    ];
+    for (name, time) in variants {
         print_row(
-            format!("{} latency per map (ms)", time.name).as_str(),
+            format!("{name} latency per map (ms)").as_str(),
             format!(
                 "{:.3}  ({:.1}x vs conventional)",
                 time.mean_ms,
@@ -112,23 +118,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if json {
-        let entry = |t: &ProfileRecord| {
+        let entry = |(name, t): (&str, &KernelTime)| {
             format!(
                 "  {{\"variant\": \"{}\", \"mean_ms\": {:.6}, \"min_ms\": {:.6}, \
                  \"speedup_vs_conventional\": {:.3}}}",
-                t.name,
+                name,
                 t.mean_ms,
                 t.min_ms,
                 speedup(t)
             )
         };
-        let body = format!(
-            "[\n{},\n{},\n{},\n{}\n]\n",
-            entry(&conv_time),
-            entry(&scalar_time),
-            entry(&simd_time),
-            entry(&hier_time)
-        );
+        let [conv, scalar, simd, hier] = variants.map(entry);
+        let body = format!("[\n{conv},\n{scalar},\n{simd},\n{hier}\n]\n");
         let path = "BENCH_srp.json";
         std::fs::write(path, body)?;
         println!("\nwrote {path} (4 variants)");

@@ -125,6 +125,36 @@ pub fn print_row(label: &str, value: impl std::fmt::Display) {
     println!("  {label:<42} {value}");
 }
 
+/// Wall-clock statistics of one timed kernel, in milliseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelTime {
+    /// Mean over the measured repetitions.
+    pub mean_ms: f64,
+    /// Fastest measured repetition.
+    pub min_ms: f64,
+}
+
+/// Times `f` on the host: `warmup` unmeasured calls, then `reps` measured ones
+/// (at least one). Results pass through `black_box` so the work is kept.
+pub fn time_kernel<T>(warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> KernelTime {
+    for _ in 0..warmup {
+        std::hint::black_box(f());
+    }
+    let reps = reps.max(1);
+    let (mut total_ms, mut min_ms) = (0.0, f64::INFINITY);
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        std::hint::black_box(f());
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        total_ms += ms;
+        min_ms = min_ms.min(ms);
+    }
+    KernelTime {
+        mean_ms: total_ms / reps as f64,
+        min_ms,
+    }
+}
+
 /// Returns true if `--full` was passed on the command line (experiments then run the
 /// complete paper-scale protocol instead of the quick default).
 pub fn full_scale_requested() -> bool {
@@ -141,6 +171,14 @@ mod tests {
         assert!(g.len() > 20);
         assert!(g.total_parameters() > 1_000_000);
         assert!(g.total_macs() > 10_000_000);
+    }
+
+    #[test]
+    fn time_kernel_runs_at_least_one_repetition() {
+        let mut calls = 0;
+        let t = time_kernel(2, 0, || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(t.min_ms >= 0.0 && t.min_ms <= t.mean_ms);
     }
 
     #[test]

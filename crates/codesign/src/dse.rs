@@ -12,10 +12,9 @@ use crate::error::CodesignError;
 use crate::ir::OpGraph;
 use crate::passes::{apply_passes, Pass};
 use crate::platform::EdgePlatform;
-use serde::{Deserialize, Serialize};
 
 /// One candidate configuration of the algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Scaling of the DSP front-end resolution (1.0 = baseline).
     pub feature_scale: f64,
@@ -80,7 +79,7 @@ impl DesignPoint {
 
 /// The set of candidate values explored by the loop (the "design parameter space" box
 /// of Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// Candidate feature-resolution scales.
     pub feature_scales: Vec<f64>,
@@ -139,7 +138,7 @@ impl DesignSpace {
 }
 
 /// What an evaluator reports back for a candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateMetrics {
     /// Task accuracy (or any higher-is-better quality score in `[0, 1]`).
     pub accuracy: f64,
@@ -208,7 +207,7 @@ impl CandidateEvaluator for AnalyticEvaluator {
 }
 
 /// A fully evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatedPoint {
     /// The design point.
     pub point: DesignPoint,
@@ -223,7 +222,7 @@ pub struct EvaluatedPoint {
 }
 
 /// The outcome of one co-design exploration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoDesignReport {
     /// The evaluated baseline.
     pub baseline: EvaluatedPoint,

@@ -8,10 +8,9 @@
 //! energy estimates.
 
 use ispot_nn::model::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// The operator kinds that occur in the I-SPOT pipelines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// 2-D convolution: `in_channels`, `out_channels`, kernel, output spatial size.
     Conv2d {
@@ -75,7 +74,7 @@ pub enum OpKind {
 }
 
 /// One operator in the pipeline graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpNode {
     /// Human-readable name (unique within a graph by convention).
     pub name: String,
@@ -266,7 +265,7 @@ impl OpNode {
 }
 
 /// A flat operator graph (the ops execute sequentially once per frame).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpGraph {
     name: String,
     ops: Vec<OpNode>,

@@ -12,11 +12,9 @@
 //! 2. **Hardware cost models** ([`platform`]) — roofline-style latency and energy
 //!    estimates for edge platforms (a Raspberry-Pi-4B-class CPU, an MCU-class core and
 //!    an accelerator-class device).
-//! 3. **Host profiling** ([`profiler`]) — wall-clock measurement of real Rust kernels,
-//!    the counterpart of the paper's PyTorch-profiler / TVM-runtime branch.
-//! 4. **Optimization passes** ([`passes`]) — pruning, quantization, feature-resolution
+//! 3. **Optimization passes** ([`passes`]) — pruning, quantization, feature-resolution
 //!    and channel-width scaling applied to a candidate design point.
-//! 5. **Design-space exploration** ([`dse`]) — the iteration loop of Fig. 4: evaluate
+//! 4. **Design-space exploration** ([`dse`]) — the iteration loop of Fig. 4: evaluate
 //!    candidates, judge the algorithm/hardware trade-off against an accuracy floor, and
 //!    update the configuration.
 //!
@@ -42,7 +40,6 @@ pub mod error;
 pub mod ir;
 pub mod passes;
 pub mod platform;
-pub mod profiler;
 
 pub use error::CodesignError;
 
@@ -56,5 +53,4 @@ pub mod prelude {
     pub use crate::ir::{OpGraph, OpKind, OpNode};
     pub use crate::passes::{Pass, PassOutcome};
     pub use crate::platform::{EdgePlatform, RooflinePoint};
-    pub use crate::profiler::{HostProfiler, ProfileRecord};
 }

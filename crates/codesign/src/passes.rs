@@ -8,10 +8,9 @@
 
 use crate::error::CodesignError;
 use crate::ir::{OpGraph, OpKind, OpNode};
-use serde::{Deserialize, Serialize};
 
 /// An IR-level optimization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pass {
     /// Quantize all parameterized operators to the given bit width.
     Quantize {
@@ -39,7 +38,7 @@ pub enum Pass {
 }
 
 /// The result of applying a pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PassOutcome {
     /// The transformed graph.
     pub graph: OpGraph,

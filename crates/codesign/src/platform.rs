@@ -9,10 +9,9 @@
 //! factor) across design points and platforms.
 
 use crate::ir::{OpGraph, OpNode};
-use serde::{Deserialize, Serialize};
 
 /// An analytic model of an embedded execution platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgePlatform {
     /// Human-readable platform name.
     pub name: String,
@@ -147,7 +146,7 @@ impl EdgePlatform {
 }
 
 /// One operator plotted on the roofline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Operator name.
     pub op_name: String,

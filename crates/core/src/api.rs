@@ -85,14 +85,13 @@
 use crate::error::PipelineError;
 use crate::events::{PerceptionEvent, TrackList};
 use crate::input::AudioInput;
-use crate::latency::LatencyReport;
 use crate::mode::OperatingMode;
 use crate::pipeline::PipelineConfig;
-use crate::sink::{EventSink, LatestEvent};
+use crate::sink::EventSink;
 use crate::stages::{
     DetectStage, FrameOutcome, FrameParams, LocalizeStage, ObsCtx, StageGraph, TrackStage,
-    TriggerStage,
 };
+use crate::trigger::EnergyTrigger;
 use ispot_dsp::framing::FrameAssembler;
 use ispot_obs::{StageObserver, TickSource};
 use ispot_roadsim::engine::MultichannelAudio;
@@ -119,48 +118,10 @@ pub(crate) fn with_channel_views<R>(channels: &[Vec<f64>], f: impl FnOnce(&[&[f6
         }
         f(&views[..channels.len()])
     } else {
+        // analyze: allow(alloc) — fallback beyond MAX_STACK_CHANNELS only: every
+        // channel count up to 32 takes the stack arm above
         let views: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
         f(&views)
-    }
-}
-
-/// A factory producing one fresh [`StageObserver`] per opened session.
-///
-/// An engine is shared across streams while observers are per-stream mutable
-/// state, so the builder carries a factory rather than an observer: every
-/// [`Engine::open_session`] call invokes it once and attaches the result. The
-/// factory must therefore be cheap and must hand out observers that honour the
-/// [`StageObserver`] hot-path contract (no allocation in `on_span`).
-///
-/// Hosts that need per-stream resources wired in at open time (e.g. a span
-/// ring per slot) can skip the factory and call [`Session::set_observer`]
-/// directly instead.
-#[derive(Clone)]
-pub struct ObserverFactory {
-    make: Arc<dyn Fn() -> Box<dyn StageObserver> + Send + Sync>,
-}
-
-impl ObserverFactory {
-    /// Wraps a closure that builds one observer per session.
-    pub fn new<F>(make: F) -> Self
-    where
-        F: Fn() -> Box<dyn StageObserver> + Send + Sync + 'static,
-    {
-        ObserverFactory {
-            make: Arc::new(make),
-        }
-    }
-
-    /// Builds a fresh observer (called once per [`Engine::open_session`]).
-    #[must_use]
-    pub fn make(&self) -> Box<dyn StageObserver> {
-        (self.make)()
-    }
-}
-
-impl std::fmt::Debug for ObserverFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObserverFactory").finish_non_exhaustive()
     }
 }
 
@@ -201,7 +162,6 @@ pub struct PipelineBuilder {
     config: PipelineConfig,
     sample_rate: f64,
     channels: ChannelSpec,
-    observer: Option<ObserverFactory>,
 }
 
 impl PipelineBuilder {
@@ -212,7 +172,6 @@ impl PipelineBuilder {
             config: PipelineConfig::default(),
             sample_rate,
             channels: ChannelSpec::Count(1),
-            observer: None,
         }
     }
 
@@ -304,46 +263,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Attaches a per-session stage-observer factory: every session opened
-    /// against the built engine gets one fresh observer from `factory` and
-    /// emits a timing span per executed stage into it. The default is no
-    /// observer — the uninstrumented frame path pays a single branch per
-    /// stage and nothing else.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ispot_core::prelude::*;
-    /// use std::sync::Arc;
-    ///
-    /// # fn main() -> Result<(), PipelineError> {
-    /// let ring = Arc::new(SpanRing::new(1024));
-    /// let sink = Arc::clone(&ring);
-    /// struct RingObserver(Arc<SpanRing>);
-    /// impl StageObserver for RingObserver {
-    ///     fn on_span(&mut self, span: Span) {
-    ///         self.0.record(span);
-    ///     }
-    /// }
-    /// let engine = PipelineBuilder::new(16_000.0)
-    ///     .observer(ObserverFactory::new(move || {
-    ///         Box::new(RingObserver(Arc::clone(&sink)))
-    ///     }))
-    ///     .build_engine()?;
-    /// let mut session = engine.open_session();
-    /// assert!(session.observer_attached());
-    ///
-    /// let frame = vec![0.1f64; 2048];
-    /// session.process_frame(&[&frame], 0)?;
-    /// assert!(ring.recorded() > 0, "stages produced no spans");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn observer(mut self, factory: ObserverFactory) -> Self {
-        self.observer = Some(factory);
-        self
-    }
-
     /// Uses a bare channel count: detection only, localization disabled.
     pub fn channels(mut self, num_channels: usize) -> Self {
         self.channels = ChannelSpec::Count(num_channels);
@@ -411,7 +330,6 @@ impl PipelineBuilder {
                 num_channels,
                 detector,
                 localizer,
-                observer: self.observer,
             }),
         })
     }
@@ -435,7 +353,6 @@ struct EngineShared {
     num_channels: usize,
     detector: Arc<SpectralTemplateDetector>,
     localizer: Option<Arc<SrpPhatFast>>,
-    observer: Option<ObserverFactory>,
 }
 
 /// The shared, immutable half of a deployment: detector weights and the
@@ -507,7 +424,7 @@ impl Engine {
     pub fn open_session(&self) -> Session {
         let shared = &self.shared;
         let stages = StageGraph::new(
-            TriggerStage::new(shared.config.trigger),
+            EnergyTrigger::new(shared.config.trigger),
             DetectStage::shared(Arc::clone(&shared.detector)),
             LocalizeStage::shared(shared.localizer.clone(), shared.config.tracking),
             TrackStage::with_config(shared.config.tracking)
@@ -520,11 +437,10 @@ impl Engine {
             num_channels: shared.num_channels,
             stages,
             framing: None,
-            latency: LatencyReport::new(),
             frames_processed: 0,
             frames_analyzed: 0,
             localization_shed: false,
-            observer: shared.observer.as_ref().map(ObserverFactory::make),
+            observer: None,
             ticks: TickSource::new(),
         }
     }
@@ -552,9 +468,9 @@ impl Framing {
 /// detection + localization + tracking worker.
 ///
 /// A session owns every piece of per-stream mutable state — trigger noise floor,
-/// Kalman tracker, chunk-to-frame assembler, feature/steering scratch, latency
-/// statistics — while the heavyweight immutable state (detector weights, steering
-/// operator, FFT plans) lives in the engine and is shared by reference.
+/// Kalman tracker, chunk-to-frame assembler, feature/steering scratch — while
+/// the heavyweight immutable state (detector weights, steering operator, FFT
+/// plans) lives in the engine and is shared by reference.
 ///
 /// Input can arrive as exact frames ([`Session::process_frame_with`]), as
 /// arbitrary-size planar `f64` chunks ([`Session::push_chunk_with`]), or in any
@@ -562,16 +478,15 @@ impl Framing {
 /// whole recordings go through [`Session::process_recording_with`]. All entry
 /// points share one framing implementation and produce identical events, and all
 /// emit events **by reference** through a caller-supplied [`EventSink`] — the
-/// steady-state path performs no heap allocation. Thin `Vec`-returning wrappers
-/// ([`Session::push_chunk`], [`Session::process_recording`]) are kept for
-/// convenience and experiments.
+/// steady-state path performs no heap allocation. A `Vec<PerceptionEvent>` is
+/// itself a sink, for callers that want every event collected. Per-stage timing
+/// comes from a [`StageObserver`] attached with [`Session::set_observer`].
 pub struct Session {
     config: PipelineConfig,
     sample_rate: f64,
     num_channels: usize,
     stages: StageGraph,
     framing: Option<Framing>,
-    latency: LatencyReport,
     frames_processed: usize,
     frames_analyzed: usize,
     localization_shed: bool,
@@ -587,7 +502,6 @@ impl std::fmt::Debug for Session {
             .field("num_channels", &self.num_channels)
             .field("stages", &self.stages)
             .field("framing", &self.framing)
-            .field("latency", &self.latency)
             .field("frames_processed", &self.frames_processed)
             .field("frames_analyzed", &self.frames_analyzed)
             .field("localization_shed", &self.localization_shed)
@@ -668,19 +582,32 @@ impl Session {
     /// observer never resets stream state — buffered input, trigger noise
     /// floor and tracker all survive, and stage results are bit-for-bit
     /// unaffected.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ispot_core::prelude::*;
+    /// use std::sync::Arc;
+    ///
+    /// # fn main() -> Result<(), PipelineError> {
+    /// struct RingObserver(Arc<SpanRing>);
+    /// impl StageObserver for RingObserver {
+    ///     fn on_span(&mut self, span: Span) {
+    ///         self.0.record(span);
+    ///     }
+    /// }
+    /// let ring = Arc::new(SpanRing::new(1024));
+    /// let mut session = PipelineBuilder::new(16_000.0).build()?;
+    /// session.set_observer(Box::new(RingObserver(Arc::clone(&ring))));
+    ///
+    /// let frame = vec![0.1f64; 2048];
+    /// session.process_frame_with(&[&frame], 0, &mut LatestEvent::new())?;
+    /// assert!(ring.recorded() > 0, "stages produced no spans");
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn set_observer(&mut self, observer: Box<dyn StageObserver>) {
         self.observer = Some(observer);
-    }
-
-    /// Detaches the stage observer (if any), returning it to the caller.
-    /// Subsequent frames take the uninstrumented path.
-    pub fn clear_observer(&mut self) -> Option<Box<dyn StageObserver>> {
-        self.observer.take()
-    }
-
-    /// Returns true while a stage observer is attached.
-    pub fn observer_attached(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// Re-anchors the session's span clock onto `ticks`. A host serving many
@@ -689,11 +616,6 @@ impl Session {
     /// on a single timeline.
     pub fn set_tick_source(&mut self, ticks: TickSource) {
         self.ticks = ticks;
-    }
-
-    /// Per-stage latency statistics accumulated so far.
-    pub fn latency_report(&self) -> &LatencyReport {
-        &self.latency
     }
 
     /// Number of frames received.
@@ -726,7 +648,7 @@ impl Session {
     }
 
     /// Discards any partially assembled streaming input and restarts streaming frame
-    /// numbering at 0. Latency statistics and frame counters are retained. Buffers
+    /// numbering at 0. Frame counters are retained. Buffers
     /// are kept, so resetting does not reintroduce allocations.
     pub fn reset_streaming(&mut self) {
         if let Some(framing) = &mut self.framing {
@@ -762,6 +684,8 @@ impl Session {
             if ch.len() != self.config.frame_len {
                 return Err(PipelineError::invalid_config(
                     "frame",
+                    // analyze: allow(alloc) — rejection path: the frame is refused
+                    // before any stage runs, so steady-state stays allocation-free
                     format!(
                         "every channel must have {} samples, got {}",
                         self.config.frame_len,
@@ -782,10 +706,7 @@ impl Session {
             ticks: &self.ticks,
             frame_index: frame_index as u64,
         });
-        let outcome = self
-            .stages
-            .run_frame_observed(frame, params, &mut self.latency, obs)?;
-        self.latency.count_frame();
+        let outcome = self.stages.run_frame_observed(frame, params, obs)?;
         match outcome {
             FrameOutcome::Gated => {}
             FrameOutcome::Analyzed => self.frames_analyzed += 1,
@@ -812,22 +733,6 @@ impl Session {
         }
         sink.on_frame(&outcome);
         Ok(outcome)
-    }
-
-    /// Convenience wrapper around [`process_frame_with`](Self::process_frame_with)
-    /// returning the emitted event (if any) by value.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`process_frame_with`](Self::process_frame_with).
-    pub fn process_frame(
-        &mut self,
-        frame: &[&[f64]],
-        frame_index: usize,
-    ) -> Result<Option<PerceptionEvent>, PipelineError> {
-        let mut latest = LatestEvent::new();
-        self.process_frame_with(frame, frame_index, &mut latest)?;
-        Ok(latest.take())
     }
 
     /// Streams one chunk in **any** supported sample format and layout (see
@@ -923,33 +828,6 @@ impl Session {
         self.push_input_with(AudioInput::PlanarF64(chunk), sink)
     }
 
-    /// Convenience wrapper around [`push_chunk_with`](Self::push_chunk_with)
-    /// appending emitted events to `events`. Returns the number of frames
-    /// processed during this call.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_chunk_with`](Self::push_chunk_with).
-    pub fn push_chunk_into(
-        &mut self,
-        chunk: &[&[f64]],
-        events: &mut Vec<PerceptionEvent>,
-    ) -> Result<usize, PipelineError> {
-        self.push_chunk_with(chunk, events)
-    }
-
-    /// Convenience wrapper around [`push_chunk_with`](Self::push_chunk_with)
-    /// returning the events as a fresh `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_chunk_with`](Self::push_chunk_with).
-    pub fn push_chunk(&mut self, chunk: &[&[f64]]) -> Result<Vec<PerceptionEvent>, PipelineError> {
-        let mut events = Vec::new();
-        self.push_chunk_with(chunk, &mut events)?;
-        Ok(events)
-    }
-
     /// Processes a whole multichannel recording with the configured frame/hop,
     /// reporting through `sink`. Returns the number of frames processed.
     ///
@@ -978,22 +856,6 @@ impl Session {
             with_channel_views(audio.channels(), |chunk| self.push_chunk_with(chunk, sink))?;
         self.reset_streaming();
         Ok(frames)
-    }
-
-    /// Convenience wrapper around
-    /// [`process_recording_with`](Self::process_recording_with) returning every
-    /// emitted event as a fresh `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`process_recording_with`](Self::process_recording_with).
-    pub fn process_recording(
-        &mut self,
-        audio: &MultichannelAudio,
-    ) -> Result<Vec<PerceptionEvent>, PipelineError> {
-        let mut events = Vec::new();
-        self.process_recording_with(audio, &mut events)?;
-        Ok(events)
     }
 
     /// Detector class events not gated by the pipeline: classifies a mono clip
@@ -1030,7 +892,7 @@ fn push_interleaved<S: ispot_dsp::sample::Sample>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{AlertCounter, VecSink};
+    use crate::sink::{AlertCounter, LatestEvent, VecSink};
     use ispot_roadsim::geometry::Position;
     use ispot_sed::sirens::{SirenKind, SirenSynthesizer};
 
@@ -1407,12 +1269,17 @@ mod tests {
 
         // Accumulate drive-mode state, detour through park, return to drive.
         let mut toured = engine.open_session();
+        let mut latest = LatestEvent::new();
         for i in 0..8 {
-            toured.process_frame(&[frame_a], i).unwrap();
+            toured
+                .process_frame_with(&[frame_a], i, &mut latest)
+                .unwrap();
         }
         toured.set_mode(OperatingMode::Park);
         for i in 8..16 {
-            toured.process_frame(&[frame_a], i).unwrap();
+            toured
+                .process_frame_with(&[frame_a], i, &mut latest)
+                .unwrap();
         }
         toured.set_mode(OperatingMode::Drive);
 
@@ -1420,9 +1287,14 @@ mod tests {
         // frames: no trigger noise floor or tracker state may survive the tour.
         let mut fresh = engine.open_session();
         for i in 0..4 {
-            let toured_event = toured.process_frame(&[frame_b], i).unwrap();
-            let fresh_event = fresh.process_frame(&[frame_b], i).unwrap();
-            assert_eq!(toured_event, fresh_event, "frame {i}");
+            let (mut toured_event, mut fresh_event) = (LatestEvent::new(), LatestEvent::new());
+            toured
+                .process_frame_with(&[frame_b], i, &mut toured_event)
+                .unwrap();
+            fresh
+                .process_frame_with(&[frame_b], i, &mut fresh_event)
+                .unwrap();
+            assert_eq!(toured_event.take(), fresh_event.take(), "frame {i}");
         }
 
         // Re-setting the current mode is a no-op: it must not reset mid-stream
@@ -1430,11 +1302,11 @@ mod tests {
         let mut park = engine.open_session();
         park.set_mode(OperatingMode::Park);
         for i in 0..6 {
-            park.process_frame(&[frame_a], i).unwrap();
+            park.process_frame_with(&[frame_a], i, &mut latest).unwrap();
         }
-        let seen = park.stages.trigger.trigger().frames_seen();
+        let seen = park.stages.trigger.frames_seen();
         assert!(seen > 0);
         park.set_mode(OperatingMode::Park);
-        assert_eq!(park.stages.trigger.trigger().frames_seen(), seen);
+        assert_eq!(park.stages.trigger.frames_seen(), seen);
     }
 }

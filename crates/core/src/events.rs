@@ -2,7 +2,6 @@
 
 use ispot_sed::EventClass;
 use ispot_ssl::multitrack::{TrackSnapshot, MAX_TRACKS};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One detection (optionally with localization and multi-target tracking)
@@ -15,7 +14,7 @@ use std::fmt::Write as _;
 /// and [`tracked_azimuth_deg`](PerceptionEvent::tracked_azimuth_deg) is the best
 /// (confirmed, strongest) track, so every pre-multi-track consumer keeps
 /// working unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerceptionEvent {
     /// Index of the analysis frame that produced the event.
     pub frame_index: usize,
@@ -32,11 +31,8 @@ pub struct PerceptionEvent {
     pub tracked_azimuth_deg: Option<f64>,
     /// Snapshots of every live track at this frame, best first (inline,
     /// heap-free storage — events stay zero-copy through [`EventSink`]s).
-    /// Defaults to empty when absent, so events serialized before the
-    /// multi-track era still deserialize.
     ///
     /// [`EventSink`]: crate::sink::EventSink
-    #[serde(default)]
     pub tracks: TrackList,
 }
 
@@ -59,7 +55,7 @@ pub struct PerceptionEvent {
 ///     println!("track {} at {:+.1} deg", track.id, track.azimuth_deg);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TrackList {
     len: u8,
     items: [TrackSnapshot; MAX_TRACKS],

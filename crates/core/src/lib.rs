@@ -15,18 +15,17 @@
 //! 3. the low-complexity SRP-PHAT localizer (`ispot-ssl`),
 //! 4. an azimuth Kalman tracker,
 //!
-//! with per-stage latency accounting ([`latency`]) and two operating [`mode`]s: the
-//! fully functional low-latency **drive** mode and the trigger-based low-power **park**
+//! with per-stage timing spans (attach an [`ispot_obs::StageObserver`] with
+//! [`api::Session::set_observer`]) and two operating [`mode`]s: the fully
+//! functional low-latency **drive** mode and the trigger-based low-power **park**
 //! mode (Sec. II, requirement 3 of the paper).
 //!
 //! Input enters in any capture-driver format ([`input::AudioInput`]: interleaved
 //! or planar, `i16`/`f32`/`f64`), is de-interleaved and converted directly into
 //! the frame assembler's rings, and results leave **by reference** through an
 //! [`sink::EventSink`] — in steady state the whole path from chunk ingestion to
-//! event emission performs zero heap allocations. `Vec`-returning convenience
-//! wrappers remain for experiments and quick scripts, and
-//! [`pipeline::AcousticPerceptionPipeline`] names the classic single-stream case
-//! (a session on a private engine).
+//! event emission performs zero heap allocations. A `Vec<PerceptionEvent>` is
+//! itself a sink, for experiments and quick scripts that collect every event.
 //!
 //! # Example
 //!
@@ -71,28 +70,24 @@ pub mod api;
 pub mod error;
 pub mod events;
 pub mod input;
-pub mod latency;
 pub mod mode;
 pub mod pipeline;
 pub mod sink;
 pub mod stages;
-pub mod stream;
 pub mod trigger;
 
 pub use error::PipelineError;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::api::{Engine, ObserverFactory, PipelineBuilder, Session};
+    pub use crate::api::{Engine, PipelineBuilder, Session};
     pub use crate::error::PipelineError;
     pub use crate::events::{PerceptionEvent, TrackList};
     pub use crate::input::AudioInput;
-    pub use crate::latency::{LatencyReport, StageLatency};
     pub use crate::mode::OperatingMode;
-    pub use crate::pipeline::{AcousticPerceptionPipeline, PipelineConfig};
+    pub use crate::pipeline::PipelineConfig;
     pub use crate::sink::{AlertCounter, EventSink, FnSink, LatestEvent, VecSink};
-    pub use crate::stages::{FrameOutcome, ObsCtx, Stage, StageGraph};
-    pub use crate::stream::StreamRunner;
+    pub use crate::stages::{FrameOutcome, ObsCtx, StageGraph};
     pub use crate::trigger::{EnergyTrigger, TriggerConfig};
     pub use ispot_obs::{Span, SpanRing, StageId, StageObserver, TickSource};
     pub use ispot_ssl::multitrack::{TrackId, TrackSnapshot, TrackStatus, TrackingConfig};

@@ -1,11 +1,9 @@
 //! Operating modes of the perception system.
 
-use serde::{Deserialize, Serialize};
-
 /// The two operating modes required by the project (Sec. II, requirement 3): a fully
 /// functional low-latency mode while driving and a trigger-based low-power mode while
 /// parked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OperatingMode {
     /// Drive mode: every frame is analysed (detection + localization + tracking).
     #[default]

@@ -1,21 +1,18 @@
-//! Pipeline configuration and the classic single-stream entry point.
+//! Pipeline configuration.
 //!
 //! The construction API lives in [`crate::api`]: a
 //! [`PipelineBuilder`](crate::api::PipelineBuilder) validates a
 //! [`PipelineConfig`], builds an [`Engine`](crate::api::Engine) holding the
 //! shared immutable state, and opens [`Session`](crate::api::Session)s against
-//! it. This module keeps
-//! the configuration type itself plus [`AcousticPerceptionPipeline`], the
-//! historical name for a single session on a private engine:
+//! it. This module keeps the configuration type itself:
 //!
 //! ```
 //! use ispot_core::prelude::*;
 //!
 //! # fn main() -> Result<(), PipelineError> {
-//! let mut pipeline: AcousticPerceptionPipeline =
-//!     PipelineBuilder::new(16_000.0).channels(1).build()?;
+//! let mut session = PipelineBuilder::new(16_000.0).channels(1).build()?;
 //! let mut events = Vec::new();
-//! let frames = pipeline.push_chunk_into(&[&vec![0.0; 4096][..]], &mut events)?;
+//! let frames = session.push_chunk_with(&[&vec![0.0; 4096][..]], &mut events)?;
 //! assert_eq!(frames, 3); // 2048-sample frames every 1024 samples
 //! # Ok(())
 //! # }
@@ -27,16 +24,6 @@ use crate::trigger::TriggerConfig;
 use ispot_ssl::multitrack::TrackingConfig;
 use ispot_ssl::srp_fast::SrpSearchConfig;
 use ispot_ssl::SslError;
-use serde::{Deserialize, Serialize};
-
-/// The end-to-end perception worker for one audio stream.
-///
-/// Since the session/engine redesign this is simply a
-/// [`Session`](crate::api::Session) opened on a
-/// private engine; the name is kept because "the pipeline" is how the rest of
-/// the workspace (experiments, benches, docs) refers to the single-stream case.
-/// Construct it with [`PipelineBuilder::build`](crate::api::PipelineBuilder).
-pub type AcousticPerceptionPipeline = crate::api::Session;
 
 /// Configuration of a perception [`Session`](crate::api::Session).
 ///
@@ -44,7 +31,7 @@ pub type AcousticPerceptionPipeline = crate::api::Session;
 /// [`PipelineBuilder`](crate::api::PipelineBuilder) — invalid values are
 /// rejected at build time with [`PipelineError::InvalidConfig`], never deferred
 /// to the per-frame hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Analysis frame length in samples.
     pub frame_len: usize,
@@ -209,7 +196,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(pipeline.localization_available());
-        let events = pipeline.process_recording(&audio).unwrap();
+        let mut events = Vec::new();
+        pipeline
+            .process_recording_with(&audio, &mut events)
+            .unwrap();
         assert!(!events.is_empty(), "no events detected");
         let alert = events
             .iter()
@@ -221,7 +211,7 @@ mod tests {
             ispot_ssl::metrics::angular_error_deg(az, 45.0) < 20.0,
             "azimuth {az}"
         );
-        assert!(pipeline.latency_report().frames() > 0);
+        assert!(pipeline.frames_processed() > 0);
         assert!(pipeline.analysis_duty_cycle() > 0.99);
     }
 
@@ -234,7 +224,10 @@ mod tests {
             .collect();
         let channels = MultichannelAudio::new(vec![noise.clone(), noise], fs);
         let mut pipeline = PipelineBuilder::new(fs).channels(2).build().unwrap();
-        let events = pipeline.process_recording(&channels).unwrap();
+        let mut events = Vec::new();
+        pipeline
+            .process_recording_with(&channels, &mut events)
+            .unwrap();
         assert!(
             events.iter().all(|e| !e.is_alert()),
             "false alerts on background noise"
@@ -255,7 +248,10 @@ mod tests {
             .mode(OperatingMode::Park)
             .build()
             .unwrap();
-        let events = pipeline.process_recording(&audio).unwrap();
+        let mut events = Vec::new();
+        pipeline
+            .process_recording_with(&audio, &mut events)
+            .unwrap();
         // The expensive analysis only ran on a fraction of the frames...
         assert!(pipeline.analysis_duty_cycle() < 0.8);
         assert!(pipeline.frames_analyzed() < pipeline.frames_processed());
@@ -269,16 +265,19 @@ mod tests {
         let fs = 16_000.0;
         let mut pipeline = PipelineBuilder::new(fs).channels(2).build().unwrap();
         let ch = vec![0.0; 2048];
+        let mut events = Vec::new();
         let one: Vec<&[f64]> = vec![&ch];
         assert!(matches!(
-            pipeline.process_frame(&one, 0),
+            pipeline.process_frame_with(&one, 0, &mut events),
             Err(PipelineError::ChannelMismatch { .. })
         ));
         let short = vec![0.0; 100];
         let bad: Vec<&[f64]> = vec![&ch, &short];
-        assert!(pipeline.process_frame(&bad, 0).is_err());
+        assert!(pipeline.process_frame_with(&bad, 0, &mut events).is_err());
         let audio = MultichannelAudio::new(vec![vec![0.0; 4096]; 3], fs);
-        assert!(pipeline.process_recording(&audio).is_err());
+        assert!(pipeline
+            .process_recording_with(&audio, &mut events)
+            .is_err());
     }
 
     #[test]
@@ -344,7 +343,10 @@ mod tests {
         let audio = MultichannelAudio::new(vec![siren], fs);
         let engine = PipelineBuilder::new(fs).build_engine().unwrap();
         let mut batch = engine.open_session();
-        let batch_events = batch.process_recording(&audio).unwrap();
+        let mut batch_events = Vec::new();
+        batch
+            .process_recording_with(&audio, &mut batch_events)
+            .unwrap();
         assert!(!batch_events.is_empty());
 
         // Stream the same recording in deliberately awkward chunk sizes.
@@ -353,7 +355,7 @@ mod tests {
             let mut events = Vec::new();
             let mut frames = 0;
             for chunk in audio.channel(0).chunks(chunk_size) {
-                frames += streaming.push_chunk_into(&[chunk], &mut events).unwrap();
+                frames += streaming.push_chunk_with(&[chunk], &mut events).unwrap();
             }
             assert_eq!(
                 frames,
@@ -373,13 +375,15 @@ mod tests {
     fn push_chunk_buffers_partial_frames_across_calls() {
         let fs = 16_000.0;
         let mut pipeline = PipelineBuilder::new(fs).build().unwrap();
+        let mut events = Vec::new();
         let silence = vec![0.0; 1000];
-        assert_eq!(pipeline.push_chunk(&[&silence]).unwrap().len(), 0);
+        pipeline.push_chunk_with(&[&silence], &mut events).unwrap();
+        assert_eq!(events.len(), 0);
         assert_eq!(pipeline.pending_samples(), 1000);
         assert_eq!(pipeline.frames_processed(), 0);
         // 1048 more samples complete the first 2048-sample frame.
         let more = vec![0.0; 1048];
-        pipeline.push_chunk(&[&more]).unwrap();
+        pipeline.push_chunk_with(&[&more], &mut events).unwrap();
         assert_eq!(pipeline.frames_processed(), 1);
         assert_eq!(pipeline.pending_samples(), 2048 - 1024);
         pipeline.reset_streaming();
@@ -391,24 +395,32 @@ mod tests {
         let fs = 16_000.0;
         let mut pipeline = PipelineBuilder::new(fs).channels(2).build().unwrap();
         let mono = vec![0.0; 64];
+        let mut events = Vec::new();
         assert!(matches!(
-            pipeline.push_chunk(&[&mono]),
+            pipeline.push_chunk_with(&[&mono], &mut events),
             Err(PipelineError::ChannelMismatch { .. })
         ));
         let unequal = vec![0.0; 32];
-        assert!(pipeline.push_chunk(&[&mono[..], &unequal[..]]).is_err());
+        assert!(pipeline
+            .push_chunk_with(&[&mono[..], &unequal[..]], &mut events)
+            .is_err());
     }
 
     #[test]
     fn process_recording_resets_streaming_state() {
         let fs = 16_000.0;
         let mut pipeline = PipelineBuilder::new(fs).build().unwrap();
+        let mut events = Vec::new();
         // Leave a partial frame buffered from streaming...
-        pipeline.push_chunk(&[&vec![0.0; 500][..]]).unwrap();
+        pipeline
+            .push_chunk_with(&[&vec![0.0; 500][..]], &mut events)
+            .unwrap();
         assert_eq!(pipeline.pending_samples(), 500);
         // ...then batch-process: the partial frame must not leak into the batch.
         let audio = MultichannelAudio::new(vec![vec![0.0; 4096]], fs);
-        pipeline.process_recording(&audio).unwrap();
+        pipeline
+            .process_recording_with(&audio, &mut events)
+            .unwrap();
         assert_eq!(pipeline.frames_processed(), 3);
         assert_eq!(pipeline.pending_samples(), 0);
     }

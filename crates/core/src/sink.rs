@@ -2,7 +2,7 @@
 //!
 //! Every streaming entry point of the pipeline ([`Session::process_frame_with`],
 //! [`Session::push_chunk_with`], [`Session::push_input_with`],
-//! [`Session::process_recording_with`], [`StreamRunner::run_with`]) emits
+//! [`Session::process_recording_with`]) emits
 //! [`PerceptionEvent`]s **by reference** through a caller-supplied [`EventSink`].
 //! The event is built on the stack and handed to the sink; nothing is boxed,
 //! cloned or collected unless the sink chooses to — so a sink that only counts,
@@ -10,16 +10,12 @@
 //! zero heap allocations per frame in steady state.
 //!
 //! `Vec<PerceptionEvent>` implements `EventSink` by cloning each event into the
-//! vector, which is what the thin `Vec`-returning convenience wrappers
-//! ([`Session::push_chunk`], [`Session::process_recording`]) use internally.
+//! vector, for callers that simply want every event collected.
 //!
 //! [`Session::process_frame_with`]: crate::api::Session::process_frame_with
 //! [`Session::push_chunk_with`]: crate::api::Session::push_chunk_with
 //! [`Session::push_input_with`]: crate::api::Session::push_input_with
 //! [`Session::process_recording_with`]: crate::api::Session::process_recording_with
-//! [`Session::push_chunk`]: crate::api::Session::push_chunk
-//! [`Session::process_recording`]: crate::api::Session::process_recording
-//! [`StreamRunner::run_with`]: crate::stream::StreamRunner::run_with
 
 use crate::events::PerceptionEvent;
 use crate::stages::FrameOutcome;

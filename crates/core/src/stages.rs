@@ -1,12 +1,12 @@
-//! The perception pipeline as a graph of named stages.
+//! The perception pipeline as a graph of stages.
 //!
 //! The end-to-end analysis — wake trigger → detection → localization → tracking —
-//! used to live inline in `AcousticPerceptionPipeline::process_frame`. This module
-//! factors each step into a [`Stage`] with a stable name (the key under which the
-//! [`LatencyReport`] accounts its cost) and composes them in a [`StageGraph`] that
-//! owns all per-frame scratch memory. The graph's steady-state frame path performs
-//! **zero heap allocations**: the mono mixdown is written into a buffer preallocated
-//! at construction, and every stage operates on borrowed slices.
+//! is factored into one stage per step, each named by an [`ispot_obs::StageId`]
+//! (the key its timing spans are recorded under), and composed in a
+//! [`StageGraph`] that owns all per-frame scratch memory. The graph's
+//! steady-state frame path performs **zero heap allocations**: the mono mixdown
+//! is written into a buffer preallocated at construction, and every stage
+//! operates on borrowed slices.
 //!
 //! Keeping stages first-class (rather than inlined) is what lets the pipeline scale
 //! to many concurrent streams later: a stage graph is `Send`, self-contained, and
@@ -14,8 +14,7 @@
 //! co-design cost models.
 
 use crate::error::PipelineError;
-use crate::latency::LatencyReport;
-use crate::trigger::{EnergyTrigger, TriggerConfig};
+use crate::trigger::EnergyTrigger;
 use ispot_obs::{Span, StageId, StageObserver, TickSource};
 use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_sed::baseline::{DetectorScratch, SpectralTemplateDetector};
@@ -24,56 +23,6 @@ use ispot_ssl::multitrack::{MultiTargetTracker, TrackSnapshot, TrackingConfig};
 use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{Peak, SrpConfig, SrpMap, SrpScratch};
 use std::sync::Arc;
-
-/// A named unit of per-frame work inside the perception pipeline.
-///
-/// The name doubles as the stage's key in the [`LatencyReport`]; it must therefore
-/// stay stable across refactors ("trigger", "detection", "localization",
-/// "tracking").
-pub trait Stage {
-    /// Stable stage name used for latency accounting.
-    fn name(&self) -> &'static str;
-
-    /// Clears any state accumulated across frames (mode switches, new streams).
-    fn reset(&mut self);
-}
-
-/// Park-mode wake stage: the always-on low-power energy trigger.
-#[derive(Debug)]
-pub struct TriggerStage {
-    trigger: EnergyTrigger,
-}
-
-impl TriggerStage {
-    /// Creates the stage from a trigger configuration.
-    pub fn new(config: TriggerConfig) -> Self {
-        TriggerStage {
-            trigger: EnergyTrigger::new(config),
-        }
-    }
-
-    /// Runs the trigger on a mono frame; returns true when the frame wakes the rest
-    /// of the graph.
-    pub fn gate(&mut self, mono: &[f64], latency: &mut LatencyReport) -> bool {
-        let trigger = &mut self.trigger;
-        latency.time("trigger", || trigger.process_frame(mono))
-    }
-
-    /// Read access to the underlying trigger (duty cycle, noise floor).
-    pub fn trigger(&self) -> &EnergyTrigger {
-        &self.trigger
-    }
-}
-
-impl Stage for TriggerStage {
-    fn name(&self) -> &'static str {
-        "trigger"
-    }
-
-    fn reset(&mut self) {
-        self.trigger.reset();
-    }
-}
 
 /// Detection stage: classifies the mono mixdown into an [`EventClass`] with a
 /// confidence score.
@@ -89,10 +38,6 @@ pub struct DetectStage {
 }
 
 impl DetectStage {
-    /// Stable stage name, shared by [`Stage::name`] and the latency accounting
-    /// in [`DetectStage::classify`].
-    const NAME: &'static str = "detection";
-
     /// Creates the stage for the given sample rate, building a private detector.
     ///
     /// # Errors
@@ -117,17 +62,11 @@ impl DetectStage {
         &self.detector
     }
 
-    /// Classifies a mono frame, timing the call. Reuses the stage-owned scratch:
-    /// no per-frame allocation.
-    pub fn classify(
-        &mut self,
-        mono: &[f64],
-        latency: &mut LatencyReport,
-    ) -> Result<(EventClass, f64), PipelineError> {
+    /// Classifies a mono frame. Reuses the stage-owned scratch: no per-frame
+    /// allocation.
+    pub fn classify(&mut self, mono: &[f64]) -> Result<(EventClass, f64), PipelineError> {
         let DetectStage { detector, scratch } = self;
-        Ok(latency.time(Self::NAME, || {
-            detector.predict_with_confidence_into(mono, scratch)
-        })?)
+        Ok(detector.predict_with_confidence_into(mono, scratch)?)
     }
 
     /// Classifies an arbitrary-length mono clip outside the frame path (diagnostics).
@@ -138,14 +77,6 @@ impl DetectStage {
     pub fn classify_clip(&self, audio: &[f64]) -> Result<EventClass, PipelineError> {
         Ok(self.detector.predict(audio)?)
     }
-}
-
-impl Stage for DetectStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-
-    fn reset(&mut self) {}
 }
 
 /// Localization stage: low-complexity SRP-PHAT over the multichannel frame,
@@ -252,11 +183,7 @@ impl LocalizeStage {
     /// # Errors
     ///
     /// Returns an error if the channel count or frame length is wrong.
-    pub fn localize_peaks(
-        &mut self,
-        frame: &[&[f64]],
-        latency: &mut LatencyReport,
-    ) -> Result<Option<&[Peak]>, PipelineError> {
+    pub fn localize_peaks(&mut self, frame: &[&[f64]]) -> Result<Option<&[Peak]>, PipelineError> {
         match &mut self.localizer {
             None => Ok(None),
             Some(ActiveLocalizer {
@@ -268,37 +195,16 @@ impl LocalizeStage {
             }) => {
                 let (max_peaks, min_sep, retain) =
                     (self.max_peaks, self.min_separation_deg, self.map_smoothing);
-                latency.time("localization", || -> Result<(), PipelineError> {
-                    srp.compute_map_into(frame, scratch, map)?;
-                    if retain > 0.0 {
-                        smoothed.smooth_from(map, retain);
-                        smoothed.peaks_into(max_peaks, min_sep, peaks);
-                    } else {
-                        map.peaks_into(max_peaks, min_sep, peaks);
-                    }
-                    Ok(())
-                })?;
+                srp.compute_map_into(frame, scratch, map)?;
+                if retain > 0.0 {
+                    smoothed.smooth_from(map, retain);
+                    smoothed.peaks_into(max_peaks, min_sep, peaks);
+                } else {
+                    map.peaks_into(max_peaks, min_sep, peaks);
+                }
                 Ok(Some(peaks))
             }
         }
-    }
-
-    /// Localizes the frame, returning the azimuth of the **strongest** peak in
-    /// degrees (None when disabled). Convenience wrapper around
-    /// [`LocalizeStage::localize_peaks`] for single-source consumers.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LocalizeStage::localize_peaks`].
-    pub fn localize(
-        &mut self,
-        frame: &[&[f64]],
-        latency: &mut LatencyReport,
-    ) -> Result<Option<f64>, PipelineError> {
-        Ok(self
-            .localize_peaks(frame, latency)?
-            .and_then(|peaks| peaks.first())
-            .map(|p| p.azimuth_deg))
     }
 
     /// The SRP map produced by the most recent localize call (empty before the
@@ -312,16 +218,10 @@ impl LocalizeStage {
     pub fn last_peaks(&self) -> Option<&[Peak]> {
         self.localizer.as_ref().map(|a| a.peaks.as_slice())
     }
-}
 
-impl Stage for LocalizeStage {
-    fn name(&self) -> &'static str {
-        "localization"
-    }
-
-    fn reset(&mut self) {
-        // Restart the temporal map EMA: smoothing history must never leak
-        // across streams or mode switches.
+    /// Restarts the temporal map EMA: smoothing history must never leak
+    /// across streams or mode switches.
+    pub fn reset(&mut self) {
         if let Some(active) = &mut self.localizer {
             active.smoothed.zero();
         }
@@ -371,23 +271,9 @@ impl TrackStage {
     /// Feeds one frame's peak list (strongest first, as produced by
     /// [`LocalizeStage::localize_peaks`]) into the tracker and returns the best
     /// track's azimuth — `None` while no track is alive.
-    pub fn track_peaks(&mut self, peaks: &[Peak], latency: &mut LatencyReport) -> Option<f64> {
-        let tracker = &mut self.tracker;
-        latency.time("tracking", || tracker.update(peaks));
+    pub fn track_peaks(&mut self, peaks: &[Peak]) -> Option<f64> {
+        self.tracker.update(peaks);
         self.best().map(|t| t.azimuth_deg)
-    }
-
-    /// Feeds one bare azimuth measurement (a single full-salience peak),
-    /// returning the smoothed azimuth of the best track. Kept for
-    /// single-source consumers of the classic API.
-    pub fn track(&mut self, azimuth_deg: f64, latency: &mut LatencyReport) -> f64 {
-        let peak = Peak {
-            index: 0,
-            azimuth_deg,
-            power: 1.0,
-            salience: 1.0,
-        };
-        self.track_peaks(&[peak], latency).unwrap_or(azimuth_deg)
     }
 
     /// Snapshots of every live track after the most recent update, best first.
@@ -405,14 +291,9 @@ impl TrackStage {
     pub fn tracker(&self) -> &MultiTargetTracker {
         &self.tracker
     }
-}
 
-impl Stage for TrackStage {
-    fn name(&self) -> &'static str {
-        "tracking"
-    }
-
-    fn reset(&mut self) {
+    /// Drops every track (mode switches, new streams).
+    pub fn reset(&mut self) {
         self.tracker.reset();
     }
 }
@@ -442,8 +323,8 @@ pub enum FrameOutcome {
 /// Owns every buffer the frame path needs, so running a frame allocates nothing.
 #[derive(Debug)]
 pub struct StageGraph {
-    /// Park-mode wake stage.
-    pub trigger: TriggerStage,
+    /// Park-mode wake stage: the always-on low-power energy trigger.
+    pub trigger: EnergyTrigger,
     /// Detection stage.
     pub detect: DetectStage,
     /// Localization stage.
@@ -513,7 +394,7 @@ pub struct FrameParams {
 impl StageGraph {
     /// Composes a graph from its stages, preallocating scratch for `frame_len`.
     pub fn new(
-        trigger: TriggerStage,
+        trigger: EnergyTrigger,
         detect: DetectStage,
         localize: LocalizeStage,
         track: TrackStage,
@@ -531,7 +412,6 @@ impl StageGraph {
     /// Resets every stateful stage (streams restart, mode switches).
     pub fn reset(&mut self) {
         self.trigger.reset();
-        self.detect.reset();
         self.localize.reset();
         self.track.reset();
     }
@@ -549,9 +429,8 @@ impl StageGraph {
         &mut self,
         frame: &[&[f64]],
         params: FrameParams,
-        latency: &mut LatencyReport,
     ) -> Result<FrameOutcome, PipelineError> {
-        self.run_frame_observed(frame, params, latency, None)
+        self.run_frame_observed(frame, params, None)
     }
 
     /// Runs the graph on one multichannel frame, emitting a timing [`Span`]
@@ -571,7 +450,6 @@ impl StageGraph {
         &mut self,
         frame: &[&[f64]],
         params: FrameParams,
-        latency: &mut LatencyReport,
         mut obs: Option<ObsCtx<'_>>,
     ) -> Result<FrameOutcome, PipelineError> {
         // Stage 0 (mixdown): average the channels into the preallocated scratch.
@@ -611,14 +489,12 @@ impl StageGraph {
         }
         // Stage 1 (trigger): in park mode the graph sleeps until the trigger fires.
         if params.gate_on_trigger
-            && !observe(&mut obs, StageId::Trigger, || trigger.gate(mono, latency))
+            && !observe(&mut obs, StageId::Trigger, || trigger.process_frame(mono))
         {
             return Ok(FrameOutcome::Gated);
         }
         // Stage 2 (detection).
-        let (class, confidence) = observe(&mut obs, StageId::Detection, || {
-            detect.classify(mono, latency)
-        })?;
+        let (class, confidence) = observe(&mut obs, StageId::Detection, || detect.classify(mono))?;
         if !class.is_event() || confidence < params.confidence_threshold {
             return Ok(FrameOutcome::Analyzed);
         }
@@ -631,12 +507,10 @@ impl StageGraph {
         let mut tracked = None;
         if params.localization_enabled {
             if let Some(peaks) = observe(&mut obs, StageId::Localization, || {
-                localize.localize_peaks(frame, latency)
+                localize.localize_peaks(frame)
             })? {
                 azimuth_deg = peaks.first().map(|p| p.azimuth_deg);
-                tracked = observe(&mut obs, StageId::Tracking, || {
-                    track.track_peaks(peaks, latency)
-                });
+                tracked = observe(&mut obs, StageId::Tracking, || track.track_peaks(peaks));
             }
         }
         Ok(FrameOutcome::Detection {
@@ -651,11 +525,22 @@ impl StageGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trigger::TriggerConfig;
     use ispot_sed::sirens::{SirenKind, SirenSynthesizer};
+
+    /// Collects every span of a frame, in emission order.
+    #[derive(Default)]
+    struct Spans(Vec<Span>);
+
+    impl StageObserver for Spans {
+        fn on_span(&mut self, span: Span) {
+            self.0.push(span);
+        }
+    }
 
     fn graph(frame_len: usize) -> StageGraph {
         StageGraph::new(
-            TriggerStage::new(TriggerConfig::default()),
+            EnergyTrigger::new(TriggerConfig::default()),
             DetectStage::new(16_000.0).unwrap(),
             LocalizeStage::disabled(),
             TrackStage::new(1.0, 36.0).unwrap(),
@@ -664,27 +549,24 @@ mod tests {
     }
 
     #[test]
-    fn stage_names_are_stable() {
-        let g = graph(512);
-        assert_eq!(g.trigger.name(), "trigger");
-        assert_eq!(g.detect.name(), "detection");
-        assert_eq!(g.localize.name(), "localization");
-        assert_eq!(g.track.name(), "tracking");
-    }
-
-    #[test]
     fn siren_frame_produces_a_detection_outcome() {
         let fs = 16_000.0;
         let siren = SirenSynthesizer::new(SirenKind::Wail, fs).synthesize(0.5);
         let mut g = graph(2048);
-        let mut latency = LatencyReport::new();
+        let mut spans = Spans::default();
+        let ticks = TickSource::new();
         let params = FrameParams {
             gate_on_trigger: false,
             localization_enabled: false,
             confidence_threshold: 0.2,
         };
         let frame = [&siren[0..2048]];
-        let outcome = g.run_frame(&frame, params, &mut latency).unwrap();
+        let obs = ObsCtx {
+            observer: &mut spans,
+            ticks: &ticks,
+            frame_index: 0,
+        };
+        let outcome = g.run_frame_observed(&frame, params, Some(obs)).unwrap();
         match outcome {
             FrameOutcome::Detection {
                 class,
@@ -699,13 +581,12 @@ mod tests {
             }
             other => panic!("expected a detection, got {other:?}"),
         }
-        assert!(latency.stage("detection").is_some());
+        assert!(spans.0.iter().any(|s| s.stage == StageId::Detection));
     }
 
     #[test]
     fn silence_is_gated_in_park_mode() {
         let mut g = graph(512);
-        let mut latency = LatencyReport::new();
         let params = FrameParams {
             gate_on_trigger: true,
             localization_enabled: false,
@@ -716,7 +597,7 @@ mod tests {
         // floor and keeps gating silence.
         let mut gated = 0;
         for _ in 0..20 {
-            if g.run_frame(&[&quiet], params, &mut latency).unwrap() == FrameOutcome::Gated {
+            if g.run_frame(&[&quiet], params).unwrap() == FrameOutcome::Gated {
                 gated += 1;
             }
         }
@@ -728,7 +609,6 @@ mod tests {
         // Regression: an empty channel slice used to mix down to NaN (0.0 × ∞) and
         // a short channel used to panic on out-of-bounds indexing.
         let mut g = graph(512);
-        let mut latency = LatencyReport::new();
         let params = FrameParams {
             gate_on_trigger: false,
             localization_enabled: false,
@@ -736,17 +616,17 @@ mod tests {
         };
         let empty: [&[f64]; 0] = [];
         assert!(matches!(
-            g.run_frame(&empty, params, &mut latency),
+            g.run_frame(&empty, params),
             Err(PipelineError::InvalidConfig { .. })
         ));
         let short = vec![0.0; 100];
         let ok = vec![0.0; 512];
         assert!(matches!(
-            g.run_frame(&[&ok, &short], params, &mut latency),
+            g.run_frame(&[&ok, &short], params),
             Err(PipelineError::InvalidConfig { .. })
         ));
         // A well-formed frame still runs after the rejected ones.
-        assert!(g.run_frame(&[&ok], params, &mut latency).is_ok());
+        assert!(g.run_frame(&[&ok], params).is_ok());
     }
 
     #[test]
@@ -757,21 +637,19 @@ mod tests {
         let mut stage = LocalizeStage::for_array(SrpConfig::default(), &array, fs).unwrap();
         assert!(stage.is_available());
         assert!(stage.last_map().is_some());
-        let mut latency = LatencyReport::new();
         let ch: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.11).sin()).collect();
         let frame: Vec<&[f64]> = vec![&ch; 4];
-        let az = stage.localize(&frame, &mut latency).unwrap();
-        assert!(az.is_some());
+        let peaks = stage.localize_peaks(&frame).unwrap();
+        assert!(peaks.and_then(|p| p.first()).is_some());
         assert_eq!(stage.last_map().unwrap().len(), 181);
         let mut disabled = LocalizeStage::disabled();
-        assert!(disabled.localize(&frame, &mut latency).unwrap().is_none());
+        assert!(disabled.localize_peaks(&frame).unwrap().is_none());
         assert!(disabled.last_map().is_none());
     }
 
     #[test]
     fn reset_clears_stage_state() {
         let mut g = graph(512);
-        let mut latency = LatencyReport::new();
         let params = FrameParams {
             gate_on_trigger: true,
             localization_enabled: false,
@@ -779,10 +657,10 @@ mod tests {
         };
         let quiet = vec![1e-6; 512];
         for _ in 0..5 {
-            let _ = g.run_frame(&[&quiet], params, &mut latency).unwrap();
+            let _ = g.run_frame(&[&quiet], params).unwrap();
         }
-        assert!(g.trigger.trigger().frames_seen() > 0);
+        assert!(g.trigger.frames_seen() > 0);
         g.reset();
-        assert_eq!(g.trigger.trigger().frames_seen(), 0);
+        assert_eq!(g.trigger.frames_seen(), 0);
     }
 }

@@ -6,10 +6,9 @@
 //! requirement of a "trigger-based low-power parking mode" implies.
 
 use ispot_dsp::level::signal_power;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`EnergyTrigger`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriggerConfig {
     /// How many dB above the tracked noise floor a frame must be to fire.
     pub threshold_db: f64,
@@ -46,7 +45,7 @@ impl Default for TriggerConfig {
 /// // A loud frame fires the trigger.
 /// assert!(trigger.process_frame(&vec![0.5; 512]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTrigger {
     config: TriggerConfig,
     noise_floor: Option<f64>,

@@ -4,11 +4,10 @@
 //! cheaply shape spectra without full FIR convolutions.
 
 use crate::error::DspError;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Normalized biquad coefficients (`a0` already divided out).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiquadCoefficients {
     /// Feed-forward coefficient b0.
     pub b0: f64,
@@ -23,7 +22,7 @@ pub struct BiquadCoefficients {
 }
 
 /// Standard biquad designs (RBJ audio-EQ cookbook formulas).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BiquadDesign {
     /// Low-pass with cutoff `freq_hz` and quality factor `q`.
     Lowpass {
@@ -156,7 +155,7 @@ impl BiquadDesign {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Biquad {
     coeffs: BiquadCoefficients,
     z1: f64,
@@ -221,7 +220,7 @@ impl Biquad {
 }
 
 /// A cascade of biquad sections applied in series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BiquadCascade {
     sections: Vec<Biquad>,
 }

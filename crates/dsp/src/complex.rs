@@ -4,7 +4,6 @@
 //! [`Complex`] type with exactly the operations the FFT, PHAT weighting and filter
 //! design code need.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert!((c.re - -2.0).abs() < 1e-12);
 /// assert!((c.im - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

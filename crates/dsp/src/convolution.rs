@@ -3,10 +3,9 @@
 use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft::Fft;
-use serde::{Deserialize, Serialize};
 
 /// Which part of the full convolution to return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvMode {
     /// The full convolution of length `n + m - 1`.
     #[default]

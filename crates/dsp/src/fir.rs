@@ -6,7 +6,6 @@
 
 use crate::error::DspError;
 use crate::window::{Window, WindowKind};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// FIR design helpers (windowed-sinc method).
@@ -155,7 +154,7 @@ impl FirDesign {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FirFilter {
     coefficients: Vec<f64>,
     state: Vec<f64>,

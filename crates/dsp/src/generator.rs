@@ -4,7 +4,6 @@
 //! `ispot-sed` are assembled, and they drive the validation experiments for the road
 //! simulator.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// An infinite sine-wave generator.
@@ -157,7 +156,7 @@ impl Iterator for Chirp {
 }
 
 /// The spectral shape of generated noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NoiseKind {
     /// Flat spectrum.
     #[default]

@@ -1,7 +1,6 @@
 //! General IIR filters in transposed direct-form II.
 
 use crate::error::DspError;
-use serde::{Deserialize, Serialize};
 
 /// A general IIR filter defined by numerator (`b`) and denominator (`a`) coefficients.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IirFilter {
     b: Vec<f64>,
     a: Vec<f64>,

@@ -4,10 +4,8 @@
 //! produces smooth, artefact-free Doppler shifts (Sec. IV-A of the paper; the
 //! variable-length delay lines of Fig. 2 are read at non-integer positions).
 
-use serde::{Deserialize, Serialize};
-
 /// The interpolation method used for fractional reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Interpolator {
     /// Zero-order hold (nearest sample). Cheapest, audible artefacts under Doppler.
     Nearest,

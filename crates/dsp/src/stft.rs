@@ -1,7 +1,7 @@
 //! Short-time Fourier transform (STFT) analysis.
 //!
-//! The STFT is the front door of every feature extractor in `ispot-features`
-//! (spectrograms, MFCCs, gammatonegrams) and of the GCC-PHAT localization front-end.
+//! The STFT is the front door of the feature extractors in `ispot-features`
+//! (spectrograms and the mel features built on them).
 
 use crate::complex::Complex;
 use crate::error::DspError;

@@ -1,11 +1,10 @@
 //! Analysis windows for framing and spectral estimation.
 
 use crate::error::DspError;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// The supported window families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowKind {
     /// Rectangular (no weighting).
     Rectangular,
@@ -59,7 +58,7 @@ impl WindowKind {
 /// assert!(w.coefficients()[0].abs() < 1e-12);
 /// assert!((w.coefficients()[256] - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Window {
     kind: WindowKind,
     coefficients: Vec<f64>,

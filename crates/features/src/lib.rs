@@ -3,10 +3,10 @@
 //! Acoustic feature extraction for automotive sound analysis.
 //!
 //! The state-of-the-art emergency-sound detectors surveyed in Sec. III of the I-SPOT
-//! paper use time–frequency representations as network inputs: spectrograms,
-//! gammatonegrams, MFCCs, GFCCs, constant-Q transforms and chromagrams, alongside the
-//! raw waveform. This crate implements all of them on top of the `ispot-dsp` STFT, plus
-//! the GCC-PHAT cross-correlation used by the localization front-end.
+//! paper use time–frequency representations as network inputs. This crate provides
+//! the two the detectors here consume, on top of the `ispot-dsp` STFT: power,
+//! magnitude and log spectrograms ([`spectrogram`]) and the mel filterbank
+//! ([`mel`]), with their per-frame scratch-reusing entry points.
 //!
 //! # Example
 //!
@@ -16,25 +16,18 @@
 //! # fn main() -> Result<(), ispot_features::FeatureError> {
 //! let fs = 16_000.0;
 //! let signal: Vec<f64> = ispot_dsp::generator::Sine::new(1000.0, fs).take(8000).collect();
-//! let mfcc = MfccExtractor::new(MfccConfig::default(), fs)?;
-//! let features = mfcc.compute(&signal)?;
-//! assert_eq!(features.num_cols(), 13);
+//! let spec = SpectrogramExtractor::new(SpectrogramConfig::default())?.compute(&signal)?;
+//! let mel = MelFilterbank::new(40, 257, fs, 0.0, fs / 2.0)?.apply_spectrogram(&spec)?;
+//! assert_eq!(mel.num_cols(), 40);
 //! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod chroma;
-pub mod cqt;
-pub mod delta;
 pub mod error;
-pub mod framing;
-pub mod gammatone;
-pub mod gcc;
 pub mod matrix;
 pub mod mel;
-pub mod mfcc;
 pub mod spectrogram;
 
 pub use error::FeatureError;
@@ -42,15 +35,8 @@ pub use matrix::FeatureMatrix;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::chroma::ChromaExtractor;
-    pub use crate::cqt::{CqtConfig, CqtExtractor};
-    pub use crate::delta::append_deltas;
     pub use crate::error::FeatureError;
-    pub use crate::framing::frame_signal;
-    pub use crate::gammatone::{GammatoneConfig, GammatoneExtractor};
-    pub use crate::gcc::{gcc_phat, GccPhat};
     pub use crate::matrix::FeatureMatrix;
     pub use crate::mel::MelFilterbank;
-    pub use crate::mfcc::{MfccConfig, MfccExtractor};
     pub use crate::spectrogram::{SpectrogramConfig, SpectrogramExtractor, SpectrogramScale};
 }

@@ -1,8 +1,6 @@
 //! A simple row-major matrix of feature values (rows = time frames, columns = feature
 //! dimensions).
 
-use serde::{Deserialize, Serialize};
-
 /// A time × feature matrix shared by all extractors in this crate.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.num_rows(), 2);
 /// assert_eq!(m.num_cols(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     data: Vec<f64>,
     rows: usize,

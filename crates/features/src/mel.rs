@@ -2,7 +2,6 @@
 
 use crate::error::FeatureError;
 use crate::matrix::FeatureMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Converts a frequency in Hz to the mel scale (HTK convention).
 ///
@@ -23,7 +22,7 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 }
 
 /// A triangular mel filterbank applied to power spectra.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MelFilterbank {
     /// One weight vector (over FFT bins) per mel band.
     weights: Vec<Vec<f64>>,
@@ -148,6 +147,8 @@ impl MelFilterbank {
         if power_spectrum.len() != self.num_bins {
             return Err(FeatureError::invalid_config(
                 "power_spectrum",
+                // analyze: allow(alloc) — rejection path: a wrong-length spectrum
+                // is refused before any band is computed
                 format!(
                     "expected {} bins, got {}",
                     self.num_bins,

@@ -4,10 +4,9 @@ use crate::error::FeatureError;
 use crate::matrix::FeatureMatrix;
 use ispot_dsp::stft::{Stft, StftBuilder, StftScratch};
 use ispot_dsp::window::WindowKind;
-use serde::{Deserialize, Serialize};
 
 /// Amplitude scaling of the spectrogram values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpectrogramScale {
     /// Squared magnitude.
     #[default]
@@ -21,7 +20,7 @@ pub enum SpectrogramScale {
 }
 
 /// Configuration of the [`SpectrogramExtractor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrogramConfig {
     /// Analysis frame length in samples.
     pub frame_len: usize,

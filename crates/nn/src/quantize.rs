@@ -8,10 +8,9 @@
 
 use crate::error::NnError;
 use crate::model::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a quantization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationReport {
     /// Bit width the weights were quantized to.
     pub bits: u8,

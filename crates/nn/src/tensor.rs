@@ -1,7 +1,6 @@
 //! A minimal dense tensor with an explicit shape.
 
 use crate::error::NnError;
-use serde::{Deserialize, Serialize};
 
 /// A row-major, dynamically shaped tensor of `f64` values.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f64>,

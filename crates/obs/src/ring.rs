@@ -160,7 +160,8 @@ impl<const WORDS: usize> SeqRing<WORDS> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn empty_ring_reads_nothing() {
@@ -210,12 +211,18 @@ mod tests {
     #[test]
     fn concurrent_writers_and_reader_never_see_torn_records() {
         // Each writer publishes records whose two words are (v, !v); a torn
-        // read would surface a pair that fails that invariant.
+        // read would surface a pair that fails that invariant. All five
+        // threads start together and the reader keeps reading until the
+        // writers are done, so its reads overlap the writes.
         let ring: Arc<SeqRing<2>> = Arc::new(SeqRing::new(8));
+        let start = Arc::new(Barrier::new(5));
+        let done = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4u64)
             .map(|w| {
                 let ring = Arc::clone(&ring);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     for i in 0..5_000u64 {
                         let v = (w << 32) | i;
                         ring.push(&[v, !v]);
@@ -225,14 +232,23 @@ mod tests {
             .collect();
         let reader = {
             let ring = Arc::clone(&ring);
+            let start = Arc::clone(&start);
+            let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut seen = 0u64;
                 let mut out = Vec::new();
-                for _ in 0..2_000 {
+                start.wait();
+                loop {
+                    // Read the flag first: the pass that sees it set starts
+                    // after every write, so it reads a full ring.
+                    let last = done.load(Ordering::Acquire);
                     ring.snapshot_into(&mut out);
                     for words in &out {
                         assert_eq!(words[1], !words[0], "torn record: {words:?}");
                         seen += 1;
+                    }
+                    if last {
+                        break;
                     }
                 }
                 seen
@@ -241,6 +257,7 @@ mod tests {
         for w in writers {
             w.join().expect("writer panicked");
         }
+        done.store(true, Ordering::Release);
         let seen = reader.join().expect("reader panicked");
         assert!(seen > 0, "reader never observed a record");
         assert_eq!(ring.recorded(), 20_000);

@@ -16,10 +16,9 @@
 use crate::error::RoadSimError;
 use ispot_dsp::biquad::{Biquad, BiquadDesign};
 use ispot_dsp::generator::{NoiseKind, NoiseSource};
-use serde::{Deserialize, Serialize};
 
 /// Which environmental masker to synthesize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AmbienceKind {
     /// Gusting wind: low-frequency pink noise with slow amplitude modulation.
     Wind,

@@ -8,10 +8,9 @@
 
 use crate::error::RoadSimError;
 use ispot_dsp::fir::{FirDesign, FirFilter};
-use serde::{Deserialize, Serialize};
 
 /// A parametric model of the asphalt surface's acoustic reflection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsphaltModel {
     /// Reflection coefficient magnitude at low frequency (0–1).
     pub low_freq_reflection: f64,

@@ -6,7 +6,6 @@
 
 use crate::error::RoadSimError;
 use ispot_dsp::fir::{FirDesign, FirFilter};
-use serde::{Deserialize, Serialize};
 
 /// Atmospheric conditions controlling sound propagation.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // Absorption grows with frequency.
 /// assert!(atm.absorption_db_per_m(8000.0) > atm.absorption_db_per_m(500.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Atmosphere {
     /// Air temperature in degrees Celsius.
     pub temperature_c: f64,

@@ -1,7 +1,5 @@
 //! Spherical-spreading attenuation (the gain blocks `G1..G3` of Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Spherical (point-source) spreading model: amplitude decays as `1/r` relative to a
 /// reference distance.
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let g2 = model.gain_at(20.0);
 /// assert!((g1 / g2 - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SphericalSpreading {
     /// Distance (metres) at which the gain is unity.
     pub reference_distance_m: f64,

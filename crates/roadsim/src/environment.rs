@@ -21,7 +21,6 @@
 
 use crate::error::RoadSimError;
 use crate::geometry::Position;
-use serde::{Deserialize, Serialize};
 
 /// A street canyon: two vertical building façades at `y = ±width/2`, parallel
 /// to the road (x) axis and extending from the ground up.
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(canyon.contains_y(9.0));
 /// assert!(!canyon.contains_y(10.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreetCanyon {
     half_width_m: f64,
     reflection_gain: f64,
@@ -130,7 +129,7 @@ impl StreetCanyon {
 /// // ...while one on the open side of the corner is untouched.
 /// assert_eq!(wall.gain(Position::new(20.0, -12.0, 1.0), mic), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occluder {
     a: Position,
     b: Position,

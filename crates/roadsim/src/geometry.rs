@@ -3,7 +3,6 @@
 //! The coordinate convention follows pyroadacoustics: `x` and `y` span the road plane,
 //! `z` is the height above the asphalt surface (`z = 0`).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 
 /// A point (or vector) in 3-D space, in metres.
@@ -17,7 +16,7 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Position::new(3.0, 4.0, 1.0);
 /// assert_eq!(a.distance_to(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// Coordinate along the road direction, metres.
     pub x: f64,

@@ -6,7 +6,6 @@
 
 use crate::error::RoadSimError;
 use crate::geometry::Position;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// An array of static omnidirectional microphones.
@@ -20,7 +19,7 @@ use std::f64::consts::PI;
 /// assert_eq!(array.len(), 8);
 /// assert!((array.aperture() - 0.3).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicrophoneArray {
     positions: Vec<Position>,
 }

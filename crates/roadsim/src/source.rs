@@ -1,7 +1,6 @@
 //! Sound sources: an emitted signal attached to a trajectory.
 
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// One omnidirectional sound source emitting a user-defined signal while moving
 /// along a [`Trajectory`].
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(source.len(), 16_000);
 /// assert_eq!(source.start_delay_samples(16_000.0), 8000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoundSource {
     signal: Vec<f64>,
     trajectory: Trajectory,

@@ -6,7 +6,6 @@
 
 use crate::error::RoadSimError;
 use crate::geometry::Position;
-use serde::{Deserialize, Serialize};
 
 /// A time-parameterized source trajectory.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.position_at(5.0).x, 0.0);
 /// assert_eq!(t.duration(), Some(10.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Trajectory {
     /// A source that does not move.
     Static {

@@ -21,10 +21,9 @@ use ispot_roadsim::source::SoundSource;
 use ispot_roadsim::trajectory::Trajectory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the dataset generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Number of samples to generate.
     pub num_samples: usize,
@@ -108,7 +107,7 @@ impl DatasetConfig {
 }
 
 /// One generated dataset sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSample {
     /// Single-channel audio at the configured sampling rate.
     pub audio: Vec<f64>,
@@ -122,7 +121,7 @@ pub struct DatasetSample {
 }
 
 /// A generated emergency-sound dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     samples: Vec<DatasetSample>,
     sample_rate: f64,

@@ -21,10 +21,9 @@ use ispot_nn::model::Sequential;
 use ispot_nn::optimizer::Adam;
 use ispot_nn::pooling::MaxPool2d;
 use ispot_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`CnnDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Number of mel bands of the input patch.
     pub num_mels: usize,

@@ -1,11 +1,10 @@
 //! Event classes for the emergency-sound detection task.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The sound classes of the I-SPOT emergency-sound dataset (Sec. IV-A of the paper):
 /// three siren patterns, car horns, and background (traffic/urban noise only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
     /// Two-tone "hi-low" siren (common on European emergency vehicles).
     HiLowSiren,
@@ -77,7 +76,7 @@ impl fmt::Display for EventClass {
 ///
 /// A road scene's ground truth is a list of these — one per event-emitting source,
 /// derived from the source's onset time and signal length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabeledInterval {
     /// The sound class audible during the interval.
     pub class: EventClass,

@@ -2,7 +2,6 @@
 
 use crate::error::SedError;
 use crate::labels::EventClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A confusion matrix and the derived metrics for the 5-class detection task.
@@ -20,7 +19,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationReport {
     /// `confusion[t][p]` counts samples of true class `t` predicted as class `p`.
     confusion: [[usize; EventClass::COUNT]; EventClass::COUNT],

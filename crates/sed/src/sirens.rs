@@ -7,11 +7,10 @@
 //! harmonics, and a dual-tone horn with a rich harmonic stack.
 
 use crate::labels::EventClass;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// The three siren patterns evaluated in the emergency-vehicle-detection literature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SirenKind {
     /// Two alternating steady tones (e.g. 440 Hz / 585 Hz, ~0.5 s each).
     HiLow,

@@ -10,13 +10,16 @@
 //!
 //! # Dispatch protocol
 //!
-//! Work distribution is a bounded ready queue of slot indices plus one
-//! `scheduled` flag per slot:
+//! Work distribution is a FIFO ready queue of slot indices plus one
+//! `scheduled` flag per slot. The queue, the pause flag and the count of idle
+//! workers sit behind one dispatch lock with one condvar:
 //!
 //! * A producer that makes a ring non-empty CASes the slot's `scheduled` flag
 //!   `false → true`; only the winner enqueues the slot index. At most one token
-//!   per slot can exist, so the queue (capacity = `max_sessions`) can never
-//!   legitimately fill.
+//!   per slot can exist, so the queue (preallocated to `max_sessions`) never
+//!   grows. The producer wakes one worker only if one is waiting.
+//! * An idle worker blocks on the condvar until a token arrives, the pool is
+//!   resumed or the host shuts down — no polling.
 //! * The worker that receives a token owns the session exclusively while it
 //!   drains (events of one stream are always delivered in order, from one
 //!   thread at a time). When it stops draining it clears `scheduled` **and then
@@ -39,10 +42,10 @@ use crate::observe::{HostObserver, StageHistograms};
 use crate::relock;
 use crate::ring::{ChunkRing, MAX_CHANNELS};
 use crate::worker;
-use crossbeam::channel::{Receiver, Sender, TrySendError};
 use ispot_core::api::{Engine, Session};
 use ispot_core::sink::EventSink;
 use ispot_obs::{MetricsRegistry, Span, SpanRing, TickSource};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -240,11 +243,15 @@ pub(crate) struct Slot {
     pub(crate) spans: Mutex<Option<Arc<SpanRing>>>,
 }
 
-/// Pause gate for the worker pool (tests/benches build load while paused).
+/// Dispatch state shared by producers and workers, behind one lock.
 #[derive(Debug)]
-pub(crate) struct PauseGate {
-    flag: Mutex<bool>,
-    cv: Condvar,
+struct Dispatch {
+    /// Slot tokens ready for a worker, FIFO; at most one per slot.
+    ready: VecDeque<u32>,
+    /// Workers take no tokens while set (tests/benches build load paused).
+    paused: bool,
+    /// Workers blocked on the condvar; producers skip the wake-up when zero.
+    waiting: usize,
 }
 
 /// State shared between the host handle and its workers.
@@ -255,8 +262,10 @@ pub(crate) struct HostInner {
     pub(crate) slots: Vec<Slot>,
     /// Free slot indices (control plane only).
     free: Mutex<Vec<u32>>,
-    ready_tx: Sender<u32>,
-    pub(crate) ready_rx: Receiver<u32>,
+    dispatch: Mutex<Dispatch>,
+    /// Signalled when a token is queued, the pool resumes or the host shuts
+    /// down.
+    wakeup: Condvar,
     pub(crate) load: LoadController,
     /// The unified registry every host metric is registered in; rendered by
     /// the `/metrics` endpoint.
@@ -269,8 +278,9 @@ pub(crate) struct HostInner {
     /// The host clock every session is aligned to, so span ticks and feed
     /// timestamps share one origin.
     pub(crate) ticks: TickSource,
+    /// Set under the dispatch lock, so a worker cannot check it and then miss
+    /// the shutdown wake-up.
     shutdown: AtomicBool,
-    pause: PauseGate,
 }
 
 impl HostInner {
@@ -279,24 +289,15 @@ impl HostInner {
     }
 
     pub(crate) fn is_paused(&self) -> bool {
-        *relock(&self.pause.flag)
-    }
-
-    /// Blocks the calling worker while the pool is paused (and not shutting
-    /// down).
-    pub(crate) fn wait_if_paused(&self) {
-        let mut paused = relock(&self.pause.flag);
-        while *paused && !self.shutdown.load(Ordering::Acquire) {
-            paused = match self.pause.cv.wait(paused) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        relock(&self.dispatch).paused
     }
 
     /// Requests a drain of `slot_idx`: CASes the slot's `scheduled` flag and,
     /// on winning, enqueues one token. Loser paths mean a token already exists
     /// (or the owning worker will re-check), so the chunk cannot be stranded.
+    /// A waiting worker is woken after the lock is released; when every worker
+    /// is busy, no wake-up is issued — a busy worker takes the token before it
+    /// waits again.
     pub(crate) fn schedule(&self, slot_idx: usize) {
         let slot = &self.slots[slot_idx];
         if slot
@@ -304,16 +305,45 @@ impl HostInner {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            match self.ready_tx.try_send(slot_idx as u32) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    // Full is unreachable (≤ 1 token per slot, queue sized at
-                    // max_sessions); Disconnected only happens at shutdown.
-                    // Either way, clear the flag so a later push can retry.
-                    slot.scheduled.store(false, Ordering::Release);
-                }
+            let wake = {
+                let mut dispatch = relock(&self.dispatch);
+                dispatch.ready.push_back(slot_idx as u32);
+                dispatch.waiting > 0
+            };
+            if wake {
+                self.wakeup.notify_one();
             }
         }
+    }
+
+    /// Blocks the calling worker until a slot token is ready and the pool is
+    /// not paused, and takes it (FIFO). Returns `None` once the host shuts
+    /// down.
+    pub(crate) fn next_ready(&self) -> Option<u32> {
+        let mut dispatch = relock(&self.dispatch);
+        loop {
+            if self.shutting_down() {
+                return None;
+            }
+            if !dispatch.paused {
+                if let Some(slot_idx) = dispatch.ready.pop_front() {
+                    return Some(slot_idx);
+                }
+            }
+            dispatch.waiting += 1;
+            dispatch = match self.wakeup.wait(dispatch) {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            dispatch.waiting -= 1;
+        }
+    }
+
+    /// Sets the pause flag under the dispatch lock and wakes every waiting
+    /// worker to re-check it.
+    fn set_paused(&self, paused: bool) {
+        relock(&self.dispatch).paused = paused;
+        self.wakeup.notify_all();
     }
 
     /// Applies any pending degrade transition, counts it and publishes it on
@@ -405,7 +435,6 @@ impl SessionHost {
                 reason: "channel count exceeds the serve layer's 32-channel bound",
             });
         }
-        let (ready_tx, ready_rx) = crossbeam::channel::bounded(config.max_sessions);
         let mut slots = Vec::with_capacity(config.max_sessions);
         for _ in 0..config.max_sessions {
             slots.push(Slot {
@@ -427,8 +456,12 @@ impl SessionHost {
             config,
             slots,
             free: Mutex::new(free),
-            ready_tx,
-            ready_rx,
+            dispatch: Mutex::new(Dispatch {
+                ready: VecDeque::with_capacity(config.max_sessions),
+                paused: config.start_paused,
+                waiting: 0,
+            }),
+            wakeup: Condvar::new(),
             load: LoadController::new(config.policy),
             registry,
             metrics,
@@ -436,10 +469,6 @@ impl SessionHost {
             feed: EventFeed::new(config.feed_capacity),
             ticks: TickSource::new(),
             shutdown: AtomicBool::new(false),
-            pause: PauseGate {
-                flag: Mutex::new(config.start_paused),
-                cv: Condvar::new(),
-            },
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -716,13 +745,12 @@ impl SessionHost {
     /// processing; accepted chunks queue in their rings. Used to build load
     /// deterministically in tests and benches.
     pub fn pause(&self) {
-        *relock(&self.inner.pause.flag) = true;
+        self.inner.set_paused(true);
     }
 
     /// Resumes a paused worker pool.
     pub fn resume(&self) {
-        *relock(&self.inner.pause.flag) = false;
-        self.inner.pause.cv.notify_all();
+        self.inner.set_paused(false);
     }
 
     /// Blocks until every accepted chunk has been fully processed (or
@@ -743,9 +771,12 @@ impl SessionHost {
 
 impl Drop for SessionHost {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Wake anything parked on the pause gate so it can observe shutdown.
-        self.inner.pause.cv.notify_all();
+        {
+            let _dispatch = relock(&self.inner.dispatch);
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
+        // Wake every waiting worker, paused or idle, so it observes shutdown.
+        self.inner.wakeup.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }

@@ -9,7 +9,8 @@
 //! with the properties a real-time fleet host needs:
 //!
 //! * **Bounded everything.** Each stream has a fixed-capacity ingestion ring;
-//!   dispatch runs over one bounded ready queue. Memory is sized at
+//!   dispatch runs over one ready queue holding at most one token per stream,
+//!   behind one lock whose condvar idle workers block on. Memory is sized at
 //!   construction and never grows.
 //! * **Typed backpressure, nothing silent.** A full ring returns
 //!   [`SubmitError::Busy`]; an overloaded host returns [`SubmitError::Shed`].

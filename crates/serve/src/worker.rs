@@ -1,11 +1,12 @@
 //! The worker pool: drains ingestion rings, runs the perception pipeline and
 //! meters every event.
 //!
-//! Workers share the host's bounded ready queue of slot tokens. Receiving a
-//! token grants exclusive ownership of that stream until the worker stops
-//! draining (see the dispatch protocol in the [`host`](crate::host) module
-//! docs), so per-stream event order is exactly submission order regardless of
-//! the pool size — the basis of the cross-worker-count determinism tests.
+//! Workers share the host's ready queue of slot tokens and block on its
+//! condvar while it is empty. Receiving a token grants exclusive ownership of
+//! that stream until the worker stops draining (see the dispatch protocol in
+//! the [`host`](crate::host) module docs), so per-stream event order is
+//! exactly submission order regardless of the pool size — the basis of the
+//! cross-worker-count determinism tests.
 //!
 //! The per-chunk path is allocation-free: the worker swaps its spare buffer
 //! with the ring slot ([`ChunkRing::pop_swap`]), builds stack channel views and
@@ -20,33 +21,18 @@ use crate::load::DegradeLevel;
 use crate::metrics::HostMetrics;
 use crate::relock;
 use crate::ring::ChunkBuf;
-use crossbeam::channel::TryRecvError;
 use ispot_core::events::PerceptionEvent;
 use ispot_core::sink::EventSink;
 use ispot_core::stages::FrameOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// How long an idle worker parks between ready-queue polls. The vendored
-/// channel's blocking receive holds the shared-receiver lock, which would
-/// serialize the pool, so workers poll with `try_recv` and park briefly when
-/// the queue is empty.
-const IDLE_PARK: Duration = Duration::from_micros(200);
-
-/// Body of one worker thread: poll the ready queue, drain the named slot,
-/// repeat until shutdown.
+/// Body of one worker thread: wait for a ready slot, drain it, repeat until
+/// shutdown.
 pub(crate) fn worker_loop(inner: &HostInner) {
     let mut buf = ChunkBuf::new(inner.engine.num_channels(), inner.config.max_chunk_len);
-    while !inner.shutting_down() {
-        inner.wait_if_paused();
-        if inner.shutting_down() {
-            break;
-        }
-        match inner.ready_rx.try_recv() {
-            Ok(slot_idx) => drain_slot(inner, slot_idx as usize, &mut buf),
-            Err(TryRecvError::Empty) => std::thread::sleep(IDLE_PARK),
-            Err(TryRecvError::Disconnected) => break,
-        }
+    while let Some(slot_idx) = inner.next_ready() {
+        drain_slot(inner, slot_idx as usize, &mut buf);
     }
 }
 

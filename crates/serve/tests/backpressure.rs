@@ -251,3 +251,65 @@ fn host_sustains_256_concurrent_streams() {
     }
     assert_eq!(host.metrics().sessions_open, 0);
 }
+
+/// Drops `host` on a helper thread and reports whether the drop finished
+/// within `limit`: a worker that misses the shutdown wake-up blocks it forever.
+fn drops_within(host: SessionHost, limit: Duration) -> bool {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(host);
+        let _ = done_tx.send(());
+    });
+    let done = done_rx.recv_timeout(limit).is_ok();
+    if done {
+        dropper.join().expect("host drop panicked");
+    }
+    done
+}
+
+/// The dispatch queue's two wake-ups: a push wakes an idle worker, and
+/// dropping the host wakes blocked workers, paused or not. Losing either
+/// would hang rather than fail, so both are bounded here.
+#[test]
+fn blocked_workers_wake_for_a_push_and_for_shutdown() {
+    // Four idle workers, blocked on an empty ready queue for a while.
+    let host = SessionHost::new(
+        engine(1),
+        HostConfig {
+            workers: 4,
+            ..HostConfig::default()
+        },
+    )
+    .unwrap();
+    let id = host.open_stream(DiscardSink).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    host.push_chunk(id, &[&vec![0.5f64; 512]]).unwrap();
+    assert!(
+        host.wait_idle(Duration::from_secs(5)),
+        "a push never woke an idle worker"
+    );
+    assert!(
+        drops_within(host, Duration::from_secs(5)),
+        "dropping an idle host never woke its workers"
+    );
+
+    // A paused pool with queued chunks, dropped without `resume`.
+    let paused = SessionHost::new(
+        engine(1),
+        HostConfig {
+            workers: 4,
+            start_paused: true,
+            ..HostConfig::default()
+        },
+    )
+    .unwrap();
+    let id = paused.open_stream(DiscardSink).unwrap();
+    for _ in 0..3 {
+        paused.push_chunk(id, &[&vec![0.25f64; 512]]).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        drops_within(paused, Duration::from_secs(5)),
+        "dropping a paused host never woke its workers"
+    );
+}

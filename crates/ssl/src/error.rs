@@ -1,8 +1,6 @@
 //! Error type for the localization crate.
 
 use ispot_dsp::DspError;
-use ispot_features::FeatureError;
-use ispot_nn::NnError;
 use std::error::Error;
 use std::fmt;
 
@@ -37,10 +35,6 @@ pub enum SslError {
     },
     /// A low-level DSP operation failed.
     Dsp(DspError),
-    /// A feature-extraction step failed.
-    Feature(FeatureError),
-    /// A neural-network step failed.
-    Nn(NnError),
 }
 
 impl fmt::Display for SslError {
@@ -64,8 +58,6 @@ impl fmt::Display for SslError {
                 )
             }
             SslError::Dsp(e) => write!(f, "dsp error: {e}"),
-            SslError::Feature(e) => write!(f, "feature error: {e}"),
-            SslError::Nn(e) => write!(f, "neural network error: {e}"),
         }
     }
 }
@@ -74,8 +66,6 @@ impl Error for SslError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SslError::Dsp(e) => Some(e),
-            SslError::Feature(e) => Some(e),
-            SslError::Nn(e) => Some(e),
             _ => None,
         }
     }
@@ -84,18 +74,6 @@ impl Error for SslError {
 impl From<DspError> for SslError {
     fn from(e: DspError) -> Self {
         SslError::Dsp(e)
-    }
-}
-
-impl From<FeatureError> for SslError {
-    fn from(e: FeatureError) -> Self {
-        SslError::Feature(e)
-    }
-}
-
-impl From<NnError> for SslError {
-    fn from(e: NnError) -> Self {
-        SslError::Nn(e)
     }
 }
 
@@ -130,7 +108,11 @@ mod tests {
         };
         assert!(e.to_string().contains("lag_tables"));
         assert!(e.to_string().contains("765"));
-        let wrapped: SslError = NnError::EmptyModel.into();
+        let wrapped: SslError = DspError::InsufficientData {
+            required: 2048,
+            available: 0,
+        }
+        .into();
         assert!(Error::source(&wrapped).is_some());
     }
 

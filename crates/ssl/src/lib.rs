@@ -17,7 +17,6 @@
 //!   stored coefficients. Both processors expose `compute_map_into` entry points
 //!   that reuse a [`srp_phat::SrpScratch`] and an output map, so the per-frame hot
 //!   path performs no heap allocation;
-//! * a Cross3D-style CNN back-end operating on stacked SRP maps ([`cross3d`]);
 //! * a constant-velocity Kalman tracker for the azimuth trajectory ([`tracking`]);
 //! * a **multi-target tracker** ([`multitrack`]) that turns the per-frame peak
 //!   list of an SRP map ([`srp_phat::SrpMap::peaks_into`]) into stable-identity
@@ -58,11 +57,9 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod cross3d;
 pub mod error;
 pub mod metrics;
 pub mod multitrack;
-pub mod seld;
 pub mod srp_fast;
 mod srp_kernels;
 pub mod srp_phat;
@@ -73,13 +70,11 @@ pub use error::SslError;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::cross3d::{Cross3dConfig, Cross3dNet};
     pub use crate::error::SslError;
     pub use crate::metrics::{angular_error_deg, mean_angular_error_deg};
     pub use crate::multitrack::{
         MultiTargetTracker, TrackId, TrackSnapshot, TrackStatus, TrackingConfig,
     };
-    pub use crate::seld::{score_seld, SeldAnnotation, SeldScores};
     pub use crate::srp_fast::{SrpPhatFast, SrpSearchConfig};
     pub use crate::srp_phat::{DoaEstimate, Peak, SrpConfig, SrpMap, SrpPhat, SrpScratch};
     pub use crate::steering::SteeringGrid;

@@ -56,7 +56,6 @@ use crate::error::SslError;
 use crate::metrics::angular_error_deg;
 use crate::srp_phat::Peak;
 use crate::tracking::{wrap_deg, AzimuthKalmanTracker, TrackState};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hard upper bound on [`TrackingConfig::max_tracks`]: the inline track list
@@ -80,7 +79,7 @@ const STRENGTH_DECAY: f64 = 0.9;
 /// Validated by [`TrackingConfig::validate`] — and again by the pipeline
 /// builder in `ispot-core`, which rejects invalid values with its typed
 /// `InvalidConfig` error before anything is built.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingConfig {
     /// Maximum number of simultaneous tracks (tentative + confirmed), at most
     /// [`MAX_TRACKS`].
@@ -230,9 +229,7 @@ impl TrackingConfig {
 /// Stable identity of one track, unique within a tracker for its whole life
 /// (identities are never reused; [`MultiTargetTracker::reset`] restarts the
 /// sequence for a new stream).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TrackId(pub(crate) u64);
 
 impl TrackId {
@@ -256,7 +253,7 @@ impl fmt::Display for TrackId {
 }
 
 /// Lifecycle state of a track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrackStatus {
     /// Newly spawned; not yet past the M-of-N confirmation rule.
     #[default]
@@ -271,7 +268,7 @@ pub enum TrackStatus {
 /// A read-only view of one track at a frame boundary — the per-track payload of
 /// perception events. `Copy` and heap-free, so snapshot lists can travel
 /// through event sinks without allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrackSnapshot {
     /// Stable track identity.
     pub id: TrackId,

@@ -73,7 +73,6 @@ use crate::steering::SteeringGrid;
 use ispot_dsp::complex::Complex;
 use ispot_dsp::simd::fma_available;
 use ispot_roadsim::microphone::MicrophoneArray;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Number of sinc-interpolation taps on each side of the steering delay.
@@ -110,7 +109,7 @@ const MIN_REFINE_WINDOWS: usize = 5;
 /// let fast = SrpSearchConfig::hierarchical();
 /// assert!(fast.decimation > 1 && fast.refine_radius >= fast.decimation);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrpSearchConfig {
     /// Coarse-grid decimation factor; `1` disables the hierarchy (exhaustive
     /// search).

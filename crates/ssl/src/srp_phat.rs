@@ -12,11 +12,10 @@ use crate::steering::SteeringGrid;
 use ispot_dsp::complex::Complex;
 use ispot_dsp::fft::Fft;
 use ispot_roadsim::microphone::MicrophoneArray;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Configuration shared by the conventional and low-complexity SRP-PHAT front-ends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SrpConfig {
     /// Analysis frame length in samples.
     pub frame_len: usize,
@@ -76,7 +75,7 @@ impl SrpConfig {
 }
 
 /// A steered-response-power map over the azimuth grid.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SrpMap {
     azimuths_deg: Vec<f64>,
     power: Vec<f64>,
@@ -278,7 +277,7 @@ impl SrpMap {
 /// Multi-source frames produce one peak per resolvable source (plus occasional
 /// side-lobe clutter, which downstream tracking filters by `salience` and by
 /// track lifecycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
     /// Grid index of the peak direction.
     pub index: usize,
@@ -292,7 +291,7 @@ pub struct Peak {
 }
 
 /// A direction-of-arrival estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DoaEstimate {
     azimuth_deg: f64,
     power: f64,

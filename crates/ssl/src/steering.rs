@@ -3,14 +3,13 @@
 use crate::error::SslError;
 use ispot_roadsim::geometry::Position;
 use ispot_roadsim::microphone::MicrophoneArray;
-use serde::{Deserialize, Serialize};
 
 /// An azimuth grid plus the per-pair expected TDOAs (in samples) for a far-field source
 /// in each grid direction.
 ///
-/// The TDOA convention matches `ispot_features::gcc::GccPhat::estimate_tdoa`: for pair
-/// `(i, j)` the stored value is the delay of channel `j` relative to channel `i`,
-/// positive when the wavefront reaches microphone `i` first.
+/// TDOA convention: for pair `(i, j)` the stored value is the delay of channel
+/// `j` relative to channel `i`, positive when the wavefront reaches microphone
+/// `i` first.
 ///
 /// # Example
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteeringGrid {
     azimuths_deg: Vec<f64>,
     pairs: Vec<(usize, usize)>,

@@ -4,8 +4,6 @@
 //! source (e.g. an approaching emergency vehicle) and bridges frames where the
 //! detector is uncertain.
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D constant-velocity Kalman filter on the azimuth angle (degrees), with
 /// wrap-around handling at ±180°.
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let state = tracker.update(14.0);
 /// assert!((state.azimuth_deg - 13.0).abs() < 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AzimuthKalmanTracker {
     /// Process-noise variance (deg^2 per step) on the velocity.
     process_noise: f64,
@@ -32,7 +30,7 @@ pub struct AzimuthKalmanTracker {
 }
 
 /// The tracked state: azimuth and azimuth rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackState {
     /// Smoothed azimuth in degrees, wrapped to `(-180, 180]`.
     pub azimuth_deg: f64,

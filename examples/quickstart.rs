@@ -6,6 +6,16 @@
 use ispot::core::prelude::*;
 use ispot::roadsim::prelude::*;
 use ispot::sed::sirens::{SirenKind, SirenSynthesizer};
+use std::sync::Arc;
+
+/// Forwards every stage span into a shared ring, read back after the run.
+struct RingObserver(Arc<SpanRing>);
+
+impl StageObserver for RingObserver {
+    fn on_span(&mut self, span: Span) {
+        self.0.record(span);
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = 16_000.0;
@@ -44,6 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    steering state) and open a session for this stream.
     let engine = PipelineBuilder::new(fs).array(&array).build_engine()?;
     let mut session = engine.open_session();
+    // Every executed stage reports a timing span; the ring keeps them all.
+    let spans = Arc::new(SpanRing::new(4096));
+    session.set_observer(Box::new(RingObserver(Arc::clone(&spans))));
 
     // 5. Stream the recording in capture-sized chunks (10 ms blocks at 16 kHz),
     //    sinking events by reference as they fire — the deployment shape of the
@@ -63,6 +76,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for event in sink.events().iter().filter(|e| e.is_alert()) {
         println!("  {}", event.summary());
     }
-    println!("\nlatency breakdown:\n{}", session.latency_report());
+    println!(
+        "\nlatency breakdown ({} frames):",
+        session.frames_processed()
+    );
+    let mut recorded = Vec::new();
+    spans.snapshot_into(&mut recorded);
+    for stage in StageId::ALL {
+        let ms: Vec<f64> = recorded
+            .iter()
+            .filter(|s| s.stage == stage)
+            .map(|s| s.duration_ticks as f64 * 1e-6)
+            .collect();
+        if ms.is_empty() {
+            continue;
+        }
+        println!(
+            "  {:<14} mean {:.3} ms  max {:.3} ms  ({} calls)",
+            stage.name(),
+            ms.iter().sum::<f64>() / ms.len() as f64,
+            ms.iter().copied().fold(0.0, f64::max),
+            ms.len()
+        );
+    }
     Ok(())
 }

@@ -42,7 +42,10 @@ fn simulated_siren_is_detected_and_localized_end_to_end() {
     let truth = -60.0;
     let (audio, array) = render_static_siren(truth, 6);
     let mut pipeline = PipelineBuilder::new(FS).array(&array).build().unwrap();
-    let events = pipeline.process_recording(&audio).unwrap();
+    let mut events = Vec::new();
+    pipeline
+        .process_recording_with(&audio, &mut events)
+        .unwrap();
     let alerts: Vec<_> = events.iter().filter(|e| e.is_alert()).collect();
     assert!(!alerts.is_empty(), "the siren was not detected");
     let mean_azimuth: f64 =
@@ -111,7 +114,10 @@ fn park_mode_saves_work_but_still_detects_events() {
     let audio = ispot::roadsim::engine::MultichannelAudio::new(vec![signal], FS);
     let run = |mode: OperatingMode| {
         let mut pipeline = PipelineBuilder::new(FS).mode(mode).build().unwrap();
-        let events = pipeline.process_recording(&audio).unwrap();
+        let mut events = Vec::new();
+        pipeline
+            .process_recording_with(&audio, &mut events)
+            .unwrap();
         (pipeline.analysis_duty_cycle(), events)
     };
     let (drive_duty, drive_events) = run(OperatingMode::Drive);

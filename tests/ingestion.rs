@@ -1,6 +1,6 @@
 //! Property-based tests for the ingestion layer: every sample format and layout
-//! of the same physical signal must produce identical perception events, and the
-//! sink-based and `Vec`-wrapper entry points must agree under any chunking.
+//! of the same physical signal must produce identical perception events, and
+//! different sinks on the chunked entry point must agree under any chunking.
 
 use ispot::core::prelude::*;
 use proptest::prelude::*;
@@ -96,8 +96,8 @@ proptest! {
         prop_assert_eq!(&reference, &via_f32);
     }
 
-    /// Sink-based and `Vec`-wrapper entry points agree for any chunking, and
-    /// both match batch processing of the whole stream.
+    /// A closure sink and a `Vec` sink agree for any chunking, and both match
+    /// batch processing of the whole stream.
     #[test]
     fn sink_and_vec_entry_points_agree_chunk_size_invariantly(
         which in 0usize..3,
@@ -113,15 +113,16 @@ proptest! {
             .push_chunk_with(&[&as_f64[..]], &mut batch_sink)
             .unwrap();
 
-        // Random chunking through the sink API...
+        // Random chunking through a closure sink...
         let (sink_frames, sink_events) = stream_with(pcm, &cuts, |s, block, events| {
             let chunk: Vec<f64> = block.iter().map(|&v| v as f64 / 32768.0).collect();
-            s.push_chunk_with(&[&chunk[..]], events).unwrap()
+            let mut sink = FnSink(|event: &PerceptionEvent| events.push(event.clone()));
+            s.push_chunk_with(&[&chunk[..]], &mut sink).unwrap()
         });
-        // ...and the same chunking through the Vec convenience wrapper.
+        // ...and the same chunking into a plain `Vec` sink.
         let (vec_frames, vec_events) = stream_with(pcm, &cuts, |s, block, events| {
             let chunk: Vec<f64> = block.iter().map(|&v| v as f64 / 32768.0).collect();
-            s.push_chunk_into(&[&chunk[..]], events).unwrap()
+            s.push_chunk_with(&[&chunk[..]], events).unwrap()
         });
 
         prop_assert_eq!(batch_frames, sink_frames);

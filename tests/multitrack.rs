@@ -87,7 +87,10 @@ fn single_source_multi_track_path_matches_single_tracker() {
         .array(&array())
         .build()
         .expect("valid pipeline");
-    let events = session.process_recording(audio).expect("runs");
+    let mut events = Vec::new();
+    session
+        .process_recording_with(audio, &mut events)
+        .expect("runs");
     assert!(!events.is_empty(), "scene produces events");
     // The pre-PR tracking stage was a bare constant-velocity Kalman filter fed
     // with the per-frame SRP peak (the same process/measurement noise the
@@ -140,7 +143,8 @@ proptest! {
         let engine = PipelineBuilder::new(fs).array(&array()).build_engine().unwrap();
 
         let mut batch = engine.open_session();
-        let batch_events = batch.process_recording(audio).unwrap();
+        let mut batch_events = Vec::new();
+        batch.process_recording_with(audio, &mut batch_events).unwrap();
         prop_assert!(!batch_events.is_empty());
 
         let mut streaming = engine.open_session();
@@ -155,7 +159,7 @@ proptest! {
                 .iter()
                 .map(|ch| &ch[pos..pos + take])
                 .collect();
-            streaming.push_chunk_into(&chunk, &mut events).unwrap();
+            streaming.push_chunk_with(&chunk, &mut events).unwrap();
             pos += take;
         }
 

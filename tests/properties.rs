@@ -174,7 +174,8 @@ proptest! {
         let config = PipelineConfig::default();
         let engine = PipelineBuilder::new(fs).config(config).build_engine().unwrap();
         let mut batch = engine.open_session();
-        let batch_events = batch.process_recording(&audio).unwrap();
+        let mut batch_events = Vec::new();
+        batch.process_recording_with(&audio, &mut batch_events).unwrap();
 
         let mut streaming = engine.open_session();
         let mut events = Vec::new();
@@ -184,7 +185,7 @@ proptest! {
         while pos < signal.len() {
             let take = (*cut_iter.next().unwrap()).min(signal.len() - pos);
             frames += streaming
-                .push_chunk_into(&[&signal[pos..pos + take]], &mut events)
+                .push_chunk_with(&[&signal[pos..pos + take]], &mut events)
                 .unwrap();
             pos += take;
         }
@@ -275,7 +276,8 @@ mod multi_source_pipeline {
             let engine = PipelineBuilder::new(fs).array(&array()).build_engine().unwrap();
 
             let mut batch = engine.open_session();
-            let batch_events = batch.process_recording(audio).unwrap();
+            let mut batch_events = Vec::new();
+            batch.process_recording_with(audio, &mut batch_events).unwrap();
             prop_assert!(!batch_events.is_empty(), "scene produces events");
 
             let mut streaming = engine.open_session();
@@ -290,7 +292,7 @@ mod multi_source_pipeline {
                     .iter()
                     .map(|ch| &ch[pos..pos + take])
                     .collect();
-                streaming.push_chunk_into(&chunk, &mut events).unwrap();
+                streaming.push_chunk_with(&chunk, &mut events).unwrap();
                 pos += take;
             }
 
