@@ -5,8 +5,8 @@
 //! binary regenerates the protocol (a reduced count by default; pass `--full` for the
 //! complete 15 000 samples) and reports the dataset statistics.
 
+use ispot_bench::dataset::{Dataset, DatasetConfig};
 use ispot_bench::{full_scale_requested, print_header, print_row};
-use ispot_sed::dataset::{Dataset, DatasetConfig};
 use ispot_sed::EventClass;
 
 fn main() {

@@ -7,10 +7,11 @@
 //! every method degrades as SNR drops, and the learned detector stays ahead of the
 //! energy threshold at low SNR.
 
+use ispot_bench::dataset::{Dataset, DatasetConfig};
+use ispot_bench::detector::{CnnDetector, DetectorConfig};
 use ispot_bench::{full_scale_requested, print_header, print_row};
 use ispot_sed::baseline::{EnergyDetector, SpectralTemplateDetector};
-use ispot_sed::dataset::{Dataset, DatasetConfig};
-use ispot_sed::detector::{CnnDetector, DetectorConfig};
+use ispot_sed::EventClass;
 
 fn dataset_at_snr(snr_db: f64, num_samples: usize, seed: u64) -> Dataset {
     let config = DatasetConfig {
@@ -75,20 +76,35 @@ fn main() {
     );
     for snr in [0.0, -10.0, -20.0, -30.0] {
         let test = dataset_at_snr(snr, test_samples, 1000 + snr.abs() as u64);
-        let cnn_report = cnn.evaluate(&test).expect("cnn evaluation");
-        let template_report = template.evaluate(&test).expect("template evaluation");
-        let energy_acc = energy.evaluate(&test).expect("energy evaluation");
+        let cnn_report = test
+            .evaluate(|audio| cnn.predict(audio))
+            .expect("cnn evaluation");
+        let template_report = test
+            .evaluate(|audio| template.predict(audio))
+            .expect("template evaluation");
+        let energy_report = test
+            .evaluate(|audio| {
+                energy.detect(audio).map(|hit| {
+                    if hit {
+                        EventClass::WailSiren
+                    } else {
+                        EventClass::Background
+                    }
+                })
+            })
+            .expect("energy evaluation");
         println!(
             "  {:>8.0}  {:>14.3}  {:>14.3}  {:>14.3}",
             snr,
             cnn_report.event_detection_accuracy(),
             template_report.event_detection_accuracy(),
-            energy_acc
+            energy_report.event_detection_accuracy()
         );
     }
     println!(
         "\n  (multi-class macro-F1 of the CNN at 0 dB: {:.3})",
-        cnn.evaluate(&dataset_at_snr(0.0, test_samples, 999))
+        dataset_at_snr(0.0, test_samples, 999)
+            .evaluate(|audio| cnn.predict(audio))
             .expect("evaluation")
             .macro_f1()
     );

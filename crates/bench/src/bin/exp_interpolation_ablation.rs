@@ -1,8 +1,8 @@
 //! Ablation A1 — delay-line interpolation quality versus Doppler accuracy.
 //!
-//! DESIGN.md calls out the fractional-delay interpolation method as the key design
-//! choice of the propagation model (pyroadacoustics uses high-order interpolation for
-//! exactly this reason). This ablation measures the observed-frequency error of a fast
+//! The fractional-delay interpolation method is the key design choice of the
+//! propagation model (pyroadacoustics uses high-order interpolation for exactly this
+//! reason). This ablation measures the observed-frequency error of a fast
 //! pass-by for every interpolation kind, plus the cost of the asphalt/air FIR length on
 //! the rendered spectrum, quantifying the accuracy/complexity trade-off that feeds the
 //! co-design loop.

@@ -8,10 +8,6 @@
 //! suites can use small counts while the benchmark harness can regenerate the full
 //! protocol.
 
-use crate::error::SedError;
-use crate::labels::EventClass;
-use crate::noise::UrbanNoiseSynthesizer;
-use crate::sirens::synthesize_event;
 use ispot_dsp::level::mix_at_snr;
 use ispot_roadsim::engine::Simulator;
 use ispot_roadsim::geometry::Position;
@@ -19,8 +15,13 @@ use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_roadsim::scene::SceneBuilder;
 use ispot_roadsim::source::SoundSource;
 use ispot_roadsim::trajectory::Trajectory;
+use ispot_sed::metrics::ClassificationReport;
+use ispot_sed::noise::UrbanNoiseSynthesizer;
+use ispot_sed::sirens::synthesize_event;
+use ispot_sed::{EventClass, SedError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::error::Error;
 
 /// Configuration of the dataset generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +134,7 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid or the simulation fails.
-    pub fn generate(config: &DatasetConfig, seed: u64) -> Result<Self, SedError> {
+    pub fn generate(config: &DatasetConfig, seed: u64) -> Result<Self, Box<dyn Error>> {
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let fs = config.sample_rate;
@@ -188,7 +189,7 @@ impl Dataset {
         fs: f64,
         speed: f64,
         rng: &mut StdRng,
-    ) -> Result<Vec<f64>, SedError> {
+    ) -> Result<Vec<f64>, Box<dyn Error>> {
         // Random drive-by: the source crosses the microphone's field on a straight
         // line at a random lateral offset and height, starting from a random side.
         let offset = rng.random_range(3.0..15.0);
@@ -253,15 +254,12 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns an error if the dataset is empty or the fraction is outside `(0, 1)`.
-    pub fn split(&self, train_fraction: f64) -> Result<(Dataset, Dataset), SedError> {
+    pub fn split(&self, train_fraction: f64) -> Result<(Dataset, Dataset), Box<dyn Error>> {
         if self.samples.is_empty() {
-            return Err(SedError::EmptyDataset);
+            return Err(SedError::EmptyDataset.into());
         }
         if !(0.0..1.0).contains(&train_fraction) || train_fraction == 0.0 {
-            return Err(SedError::invalid_config(
-                "train_fraction",
-                "must be within (0, 1)",
-            ));
+            return Err(SedError::invalid_config("train_fraction", "must be within (0, 1)").into());
         }
         let cut = ((self.samples.len() as f64) * train_fraction).round() as usize;
         let cut = cut.clamp(1, self.samples.len() - 1);
@@ -276,11 +274,36 @@ impl Dataset {
             },
         ))
     }
+
+    /// Scores a classifier on every sample: `predict` maps one clip to a class.
+    ///
+    /// A binary detector maps a hit to any event class and reads
+    /// [`ClassificationReport::event_detection_accuracy`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the dataset is empty or `predict` fails.
+    pub fn evaluate<E: Into<Box<dyn Error>>>(
+        &self,
+        mut predict: impl FnMut(&[f64]) -> Result<EventClass, E>,
+    ) -> Result<ClassificationReport, Box<dyn Error>> {
+        let mut truth = Vec::with_capacity(self.len());
+        let mut predictions = Vec::with_capacity(self.len());
+        for sample in &self.samples {
+            truth.push(sample.label);
+            predictions.push(predict(&sample.audio).map_err(Into::into)?);
+        }
+        Ok(ClassificationReport::from_predictions(
+            &truth,
+            &predictions,
+        )?)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispot_sed::baseline::{EnergyDetector, SpectralTemplateDetector};
 
     fn quick_config(n: usize, spatialize: bool) -> DatasetConfig {
         DatasetConfig {
@@ -397,6 +420,68 @@ mod tests {
         ] {
             assert!(Dataset::generate(&cfg, 0).is_err());
         }
+    }
+
+    #[test]
+    fn baselines_beat_chance_at_high_snr_and_degrade_at_low_snr() {
+        let fs = 16_000.0;
+        let easy = Dataset::generate(
+            &DatasetConfig {
+                num_samples: 24,
+                duration_s: 0.8,
+                spatialize: false,
+                snr_min_db: 15.0,
+                snr_max_db: 20.0,
+                background_fraction: 0.5,
+                ..DatasetConfig::default()
+            },
+            9,
+        )
+        .unwrap();
+        let hard = Dataset::generate(
+            &DatasetConfig {
+                num_samples: 24,
+                duration_s: 0.8,
+                spatialize: false,
+                snr_min_db: -30.0,
+                snr_max_db: -25.0,
+                background_fraction: 0.5,
+                ..DatasetConfig::default()
+            },
+            9,
+        )
+        .unwrap();
+        let det = EnergyDetector::new(fs).unwrap();
+        let accuracy = |dataset: &Dataset| {
+            dataset
+                .evaluate(|audio| {
+                    det.detect(audio).map(|hit| {
+                        if hit {
+                            EventClass::WailSiren
+                        } else {
+                            EventClass::Background
+                        }
+                    })
+                })
+                .unwrap()
+                .event_detection_accuracy()
+        };
+        let easy_acc = accuracy(&easy);
+        let hard_acc = accuracy(&hard);
+        assert!(easy_acc > 0.7, "easy accuracy {easy_acc}");
+        assert!(
+            hard_acc < easy_acc + 1e-9,
+            "hard ({hard_acc}) should not beat easy ({easy_acc})"
+        );
+    }
+
+    #[test]
+    fn evaluating_an_empty_dataset_fails() {
+        let template = SpectralTemplateDetector::new(16_000.0).unwrap();
+        let err = Dataset::default()
+            .evaluate(|audio| template.predict(audio))
+            .unwrap_err();
+        assert_eq!(err.downcast_ref(), Some(&SedError::EmptyDataset));
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //! deployed on the embedded targets modelled by `ispot-codesign`.
 
 use crate::dataset::Dataset;
-use crate::error::SedError;
-use crate::labels::EventClass;
-use crate::metrics::ClassificationReport;
 use ispot_features::mel::MelFilterbank;
 use ispot_features::spectrogram::{SpectrogramConfig, SpectrogramExtractor, SpectrogramScale};
 use ispot_nn::activation::Activation;
@@ -21,6 +18,8 @@ use ispot_nn::model::Sequential;
 use ispot_nn::optimizer::Adam;
 use ispot_nn::pooling::MaxPool2d;
 use ispot_nn::Tensor;
+use ispot_sed::{EventClass, SedError};
+use std::error::Error;
 
 /// Configuration of the [`CnnDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,7 +131,7 @@ impl CnnDetector {
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid.
-    pub fn new(config: DetectorConfig, sample_rate: f64) -> Result<Self, SedError> {
+    pub fn new(config: DetectorConfig, sample_rate: f64) -> Result<Self, Box<dyn Error>> {
         config.validate()?;
         let spec_cfg = SpectrogramConfig {
             frame_len: config.frame_len,
@@ -160,7 +159,7 @@ impl CnnDetector {
         })
     }
 
-    fn build_model(config: &DetectorConfig) -> Result<Sequential, SedError> {
+    fn build_model(config: &DetectorConfig) -> Result<Sequential, Box<dyn Error>> {
         let mut model = Sequential::new();
         model.push(Conv2d::new(
             1,
@@ -226,7 +225,7 @@ impl CnnDetector {
     /// # Errors
     ///
     /// Returns an error if the clip is shorter than one STFT frame.
-    pub fn features(&self, audio: &[f64]) -> Result<Vec<f64>, SedError> {
+    pub fn features(&self, audio: &[f64]) -> Result<Vec<f64>, Box<dyn Error>> {
         let power = self.spectrogram.compute(audio)?;
         let mut mel = self.filterbank.apply_spectrogram(&power)?;
         mel.log_compress(1e-10);
@@ -249,7 +248,7 @@ impl CnnDetector {
         Ok(patch)
     }
 
-    fn batch_tensor(&self, patches: &[Vec<f64>]) -> Result<Tensor, SedError> {
+    fn batch_tensor(&self, patches: &[Vec<f64>]) -> Result<Tensor, Box<dyn Error>> {
         let mels = self.config.num_mels;
         let frames = self.config.num_frames;
         let mut data = Vec::with_capacity(patches.len() * mels * frames);
@@ -264,9 +263,9 @@ impl CnnDetector {
     /// # Errors
     ///
     /// Returns an error if the dataset is empty or a training step fails.
-    pub fn train(&mut self, dataset: &Dataset) -> Result<Vec<f64>, SedError> {
+    pub fn train(&mut self, dataset: &Dataset) -> Result<Vec<f64>, Box<dyn Error>> {
         if dataset.is_empty() {
-            return Err(SedError::EmptyDataset);
+            return Err(SedError::EmptyDataset.into());
         }
         let patches: Vec<Vec<f64>> = dataset
             .samples()
@@ -312,29 +311,11 @@ impl CnnDetector {
     /// # Errors
     ///
     /// Returns an error if feature extraction or inference fails.
-    pub fn predict(&mut self, audio: &[f64]) -> Result<EventClass, SedError> {
+    pub fn predict(&mut self, audio: &[f64]) -> Result<EventClass, Box<dyn Error>> {
         let patch = self.features(audio)?;
         let x = self.batch_tensor(&[patch])?;
         let prediction = self.model.predict(&x)?;
         Ok(EventClass::from_index(prediction[0]).unwrap_or(EventClass::Background))
-    }
-
-    /// Evaluates the detector on a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty or inference fails.
-    pub fn evaluate(&mut self, dataset: &Dataset) -> Result<ClassificationReport, SedError> {
-        if dataset.is_empty() {
-            return Err(SedError::EmptyDataset);
-        }
-        let mut truth = Vec::with_capacity(dataset.len());
-        let mut predictions = Vec::with_capacity(dataset.len());
-        for sample in dataset.samples() {
-            truth.push(sample.label);
-            predictions.push(self.predict(&sample.audio)?);
-        }
-        ClassificationReport::from_predictions(&truth, &predictions)
     }
 
     /// Sampling rate the detector was built for.
@@ -366,7 +347,7 @@ mod tests {
         let mut det = CnnDetector::new(DetectorConfig::tiny(), 16_000.0).unwrap();
         assert!(det.num_parameters() > 1000);
         assert!(!det.is_trained());
-        let audio = crate::sirens::synthesize_event(EventClass::CarHorn, 16_000.0, 0.6);
+        let audio = ispot_sed::sirens::synthesize_event(EventClass::CarHorn, 16_000.0, 0.6);
         // Prediction works (value is arbitrary before training).
         det.predict(&audio).unwrap();
     }
@@ -382,7 +363,7 @@ mod tests {
             "loss did not decrease: {:?}",
             losses
         );
-        let report = det.evaluate(&data).unwrap();
+        let report = data.evaluate(|audio| det.predict(audio)).unwrap();
         // At easy SNR and when evaluating on the training set itself, the small CNN
         // must do much better than the 25% majority-class baseline.
         assert!(
@@ -395,8 +376,8 @@ mod tests {
     #[test]
     fn feature_patch_has_fixed_size() {
         let det = CnnDetector::new(DetectorConfig::tiny(), 16_000.0).unwrap();
-        let short = crate::sirens::synthesize_event(EventClass::WailSiren, 16_000.0, 0.2);
-        let long = crate::sirens::synthesize_event(EventClass::WailSiren, 16_000.0, 2.0);
+        let short = ispot_sed::sirens::synthesize_event(EventClass::WailSiren, 16_000.0, 0.2);
+        let long = ispot_sed::sirens::synthesize_event(EventClass::WailSiren, 16_000.0, 2.0);
         assert_eq!(det.features(&short).unwrap().len(), 16 * 16);
         assert_eq!(det.features(&long).unwrap().len(), 16 * 16);
         assert!(det.features(&[0.0; 10]).is_err());
@@ -429,9 +410,7 @@ mod tests {
     #[test]
     fn training_on_empty_dataset_fails() {
         let mut det = CnnDetector::new(DetectorConfig::tiny(), 16_000.0).unwrap();
-        assert!(matches!(
-            det.train(&Dataset::default()),
-            Err(SedError::EmptyDataset)
-        ));
+        let err = det.train(&Dataset::default()).unwrap_err();
+        assert_eq!(err.downcast_ref(), Some(&SedError::EmptyDataset));
     }
 }

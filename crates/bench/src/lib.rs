@@ -1,12 +1,17 @@
 //! # ispot-bench
 //!
 //! Shared helpers for the experiment binaries (`src/bin/exp_*.rs`) and Criterion
-//! benches that regenerate every quantitative claim of the paper's evaluation
-//! (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
-//! paper-vs-measured record).
+//! benches that regenerate every quantitative claim of the paper's evaluation.
+//!
+//! It also holds the paper's offline detection tools, which the runtime crates
+//! do not compile: the [`dataset`] generator (events rendered through the road
+//! simulator and mixed with urban noise) and the [`detector`] CNN that the
+//! co-design experiments compress.
 
 #![forbid(unsafe_code)]
 
+pub mod dataset;
+pub mod detector;
 pub mod matrix;
 pub mod scenarios;
 

@@ -714,7 +714,7 @@ impl MatrixReport {
 }
 
 /// The CI quality gate over the matrix aggregates. Thresholds are pinned well
-/// below the measured baseline (see `EXPERIMENTS.md`) so they trip on real
+/// below the measured baseline (`BENCH_matrix.json`) so they trip on real
 /// regressions, not sampling noise.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixGate {

@@ -92,10 +92,10 @@ use crate::stages::{
     DetectStage, FrameOutcome, FrameParams, LocalizeStage, ObsCtx, StageGraph, TrackStage,
 };
 use crate::trigger::EnergyTrigger;
+use ispot_dsp::audio::MultichannelAudio;
 use ispot_dsp::framing::FrameAssembler;
+use ispot_dsp::microphone::MicrophoneArray;
 use ispot_obs::{StageObserver, TickSource};
-use ispot_roadsim::engine::MultichannelAudio;
-use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_sed::baseline::SpectralTemplateDetector;
 use ispot_sed::EventClass;
 use ispot_ssl::multitrack::TrackingConfig;
@@ -238,7 +238,7 @@ impl PipelineBuilder {
     ///
     /// ```
     /// use ispot_core::prelude::*;
-    /// use ispot_roadsim::{geometry::Position, microphone::MicrophoneArray};
+    /// use ispot_dsp::{geometry::Position, microphone::MicrophoneArray};
     ///
     /// # fn main() -> Result<(), PipelineError> {
     /// let array = MicrophoneArray::circular(6, 0.2, Position::new(0.0, 0.0, 1.0));
@@ -1009,6 +1009,19 @@ mod tests {
                 "{what} accepted"
             );
         }
+        // A non-finite microphone coordinate fails here: the localizer could
+        // never produce a bearing from it.
+        let mut positions = MicrophoneArray::irregular_hexagon(Position::new(0.0, 0.0, 1.0))
+            .positions()
+            .to_vec();
+        positions[3].y = f64::NAN;
+        let array = MicrophoneArray::custom(positions).unwrap();
+        assert!(matches!(
+            PipelineBuilder::new(16_000.0).array(&array).build_engine(),
+            Err(PipelineError::Localization(
+                ispot_ssl::SslError::InvalidConfig { name: "array", .. }
+            ))
+        ));
         // hop == frame_len is the legal upper edge.
         assert!(PipelineBuilder::new(16_000.0)
             .frame_len(1024)

@@ -15,8 +15,8 @@
 
 use crate::error::PipelineError;
 use crate::trigger::EnergyTrigger;
+use ispot_dsp::microphone::MicrophoneArray;
 use ispot_obs::{Span, StageId, StageObserver, TickSource};
-use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_sed::baseline::{DetectorScratch, SpectralTemplateDetector};
 use ispot_sed::EventClass;
 use ispot_ssl::multitrack::{MultiTargetTracker, TrackSnapshot, TrackingConfig};

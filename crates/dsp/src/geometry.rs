@@ -10,7 +10,7 @@ use std::ops::{Add, Mul, Sub};
 /// # Example
 ///
 /// ```
-/// use ispot_roadsim::geometry::Position;
+/// use ispot_dsp::geometry::Position;
 ///
 /// let a = Position::new(0.0, 0.0, 1.0);
 /// let b = Position::new(3.0, 4.0, 1.0);

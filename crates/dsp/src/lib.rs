@@ -8,12 +8,15 @@
 //!
 //! * complex arithmetic ([`Complex`]) and fast Fourier transforms ([`fft`])
 //! * short-time Fourier transform ([`stft`]) and analysis [`window`]s
-//! * FIR ([`fir`]), biquad ([`biquad`]) and general IIR ([`iir`]) filters
+//! * FIR ([`fir`]) and biquad ([`biquad`]) filters
 //! * fractional, variable-length [`delay`] lines (the core of the Doppler model)
-//! * [`interp`]olation, [`resample`]rs, [`convolution`]
+//! * [`interp`]olation
 //! * signal [`generator`]s (tones, sweeps, noise) and [`level`] / SNR utilities
 //! * a simple [`ring`] buffer and a chunk-to-frame [`framing`] assembler for
 //!   streaming use
+//! * the shared acoustic vocabulary of the simulator and the pipeline: 3-D
+//!   [`geometry`], [`microphone`] array layouts and the multichannel [`audio`]
+//!   buffer
 //!
 //! # Example
 //!
@@ -41,19 +44,19 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod audio;
 pub mod biquad;
 pub mod complex;
-pub mod convolution;
 pub mod delay;
 pub mod error;
 pub mod fft;
 pub mod fir;
 pub mod framing;
 pub mod generator;
-pub mod iir;
+pub mod geometry;
 pub mod interp;
 pub mod level;
-pub mod resample;
+pub mod microphone;
 pub mod ring;
 pub mod sample;
 pub mod simd;
@@ -67,17 +70,14 @@ pub use error::DspError;
 pub mod prelude {
     pub use crate::biquad::{Biquad, BiquadCascade, BiquadDesign};
     pub use crate::complex::Complex;
-    pub use crate::convolution::{convolve, fft_convolve, ConvMode};
     pub use crate::delay::{DelayLine, InterpolationKind};
     pub use crate::error::DspError;
     pub use crate::fft::Fft;
     pub use crate::fir::{FirDesign, FirFilter};
     pub use crate::framing::FrameAssembler;
     pub use crate::generator::{Chirp, NoiseKind, NoiseSource, Sine, Sweep};
-    pub use crate::iir::IirFilter;
     pub use crate::interp::Interpolator;
     pub use crate::level::{db_to_linear, linear_to_db, mix_at_snr, rms, signal_power};
-    pub use crate::resample::LinearResampler;
     pub use crate::ring::RingBuffer;
     pub use crate::sample::Sample;
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]

@@ -4,7 +4,7 @@
 //! the open system-level challenges identified by the paper (Sec. II and V); this module
 //! provides the standard candidate geometries used in experiment E8.
 
-use crate::error::RoadSimError;
+use crate::error::DspError;
 use crate::geometry::Position;
 use std::f64::consts::PI;
 
@@ -13,7 +13,7 @@ use std::f64::consts::PI;
 /// # Example
 ///
 /// ```
-/// use ispot_roadsim::{geometry::Position, microphone::MicrophoneArray};
+/// use ispot_dsp::{geometry::Position, microphone::MicrophoneArray};
 ///
 /// let array = MicrophoneArray::circular(8, 0.15, Position::new(0.0, 0.0, 1.2));
 /// assert_eq!(array.len(), 8);
@@ -29,10 +29,10 @@ impl MicrophoneArray {
     ///
     /// # Errors
     ///
-    /// Returns an error if `positions` is empty.
-    pub fn custom(positions: Vec<Position>) -> Result<Self, RoadSimError> {
+    /// Returns [`DspError::InvalidParameter`] if `positions` is empty.
+    pub fn custom(positions: Vec<Position>) -> Result<Self, DspError> {
         if positions.is_empty() {
-            return Err(RoadSimError::invalid_parameter(
+            return Err(DspError::invalid_parameter(
                 "positions",
                 "array must contain at least one microphone",
             ));

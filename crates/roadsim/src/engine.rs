@@ -24,73 +24,7 @@ use crate::scene::Scene;
 use ispot_dsp::delay::DelayLine;
 use ispot_dsp::fir::FirFilter;
 
-/// Multichannel audio produced by the simulator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultichannelAudio {
-    channels: Vec<Vec<f64>>,
-    sample_rate: f64,
-}
-
-impl MultichannelAudio {
-    /// Creates a multichannel buffer from per-channel sample vectors.
-    pub fn new(channels: Vec<Vec<f64>>, sample_rate: f64) -> Self {
-        MultichannelAudio {
-            channels,
-            sample_rate,
-        }
-    }
-
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of samples per channel (0 if there are no channels).
-    pub fn len(&self) -> usize {
-        self.channels.first().map_or(0, Vec::len)
-    }
-
-    /// Returns true if the buffer holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sampling rate in Hz.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// Returns channel `index` as a sample slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn channel(&self, index: usize) -> &[f64] {
-        &self.channels[index]
-    }
-
-    /// Returns all channels.
-    pub fn channels(&self) -> &[Vec<f64>] {
-        &self.channels
-    }
-
-    /// Consumes the buffer, returning the per-channel vectors.
-    pub fn into_channels(self) -> Vec<Vec<f64>> {
-        self.channels
-    }
-
-    /// Averages all channels into a mono signal.
-    pub fn to_mono(&self) -> Vec<f64> {
-        if self.channels.is_empty() {
-            return Vec::new();
-        }
-        let n = self.len();
-        let scale = 1.0 / self.channels.len() as f64;
-        (0..n)
-            .map(|i| self.channels.iter().map(|c| c[i]).sum::<f64>() * scale)
-            .collect()
-    }
-}
+pub use ispot_dsp::audio::MultichannelAudio;
 
 /// Which geometric route a propagation path takes from source to microphone.
 ///
@@ -832,13 +766,5 @@ mod tests {
         // A 500 Hz tone at 8 kHz moves at most ~2*pi*500/8000 * peak ~ 0.39*peak
         // per sample; a gain step would approach 2*peak.
         assert!(max_jump < 0.6 * peak, "jump {max_jump} vs peak {peak}");
-    }
-
-    #[test]
-    fn mono_mixdown_averages_channels() {
-        let audio = MultichannelAudio::new(vec![vec![1.0, 2.0], vec![3.0, 4.0]], 8000.0);
-        assert_eq!(audio.to_mono(), vec![2.0, 3.0]);
-        assert_eq!(audio.num_channels(), 2);
-        assert_eq!(audio.len(), 2);
     }
 }

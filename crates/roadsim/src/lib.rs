@@ -66,6 +66,10 @@
 //! pipeline (`ispot-core`'s `Session::process_recording_with`), and
 //! `ispot-bench`'s `scenarios` module wraps this crate in a gallery of named,
 //! scored road scenes.
+//!
+//! [`geometry`], [`microphone`] and [`engine::MultichannelAudio`] are
+//! re-exported from `ispot-dsp`, where the pipeline reads them too, so the
+//! runtime crates share these types without compiling the simulator.
 
 #![forbid(unsafe_code)]
 
@@ -77,13 +81,12 @@ pub mod doppler;
 pub mod engine;
 pub mod environment;
 pub mod error;
-pub mod geometry;
-pub mod microphone;
 pub mod scene;
 pub mod source;
 pub mod trajectory;
 
 pub use error::RoadSimError;
+pub use ispot_dsp::{geometry, microphone};
 
 /// Commonly used items, for glob import.
 pub mod prelude {

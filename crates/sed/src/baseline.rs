@@ -9,10 +9,8 @@
 //! * [`SpectralTemplateDetector`] — multi-class nearest-template classification on
 //!   time-averaged log-mel spectra built from clean synthesised prototypes.
 
-use crate::dataset::Dataset;
 use crate::error::SedError;
 use crate::labels::EventClass;
-use crate::metrics::ClassificationReport;
 use crate::noise::UrbanNoiseSynthesizer;
 use crate::sirens::synthesize_event;
 use ispot_dsp::stft::StftScratch;
@@ -110,26 +108,6 @@ impl EnergyDetector {
     /// Same as [`EnergyDetector::band_energy_ratio`].
     pub fn detect(&self, audio: &[f64]) -> Result<bool, SedError> {
         Ok(self.band_energy_ratio(audio)? > self.threshold)
-    }
-
-    /// Evaluates binary event-detection accuracy on a dataset (any event class counts
-    /// as a positive).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty or a clip cannot be analysed.
-    pub fn evaluate(&self, dataset: &Dataset) -> Result<f64, SedError> {
-        if dataset.is_empty() {
-            return Err(SedError::EmptyDataset);
-        }
-        let mut correct = 0usize;
-        for sample in dataset.samples() {
-            let detected = self.detect(&sample.audio)?;
-            if detected == sample.label.is_event() {
-                correct += 1;
-            }
-        }
-        Ok(correct as f64 / dataset.len() as f64)
     }
 }
 
@@ -325,30 +303,11 @@ impl SpectralTemplateDetector {
         }
         Ok((best, ((best_score + 1.0) / 2.0).clamp(0.0, 1.0)))
     }
-
-    /// Evaluates the template detector on a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty or a clip cannot be analysed.
-    pub fn evaluate(&self, dataset: &Dataset) -> Result<ClassificationReport, SedError> {
-        if dataset.is_empty() {
-            return Err(SedError::EmptyDataset);
-        }
-        let mut truth = Vec::with_capacity(dataset.len());
-        let mut predictions = Vec::with_capacity(dataset.len());
-        for sample in dataset.samples() {
-            truth.push(sample.label);
-            predictions.push(self.predict(&sample.audio)?);
-        }
-        ClassificationReport::from_predictions(&truth, &predictions)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetConfig;
 
     /// The pre-refactor batch feature path (whole-matrix spectrogram + mel +
     /// column means), kept to pin the streaming scratch path against.
@@ -430,53 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn baselines_beat_chance_at_high_snr_and_degrade_at_low_snr() {
-        let fs = 16_000.0;
-        let easy = Dataset::generate(
-            &DatasetConfig {
-                num_samples: 24,
-                duration_s: 0.8,
-                spatialize: false,
-                snr_min_db: 15.0,
-                snr_max_db: 20.0,
-                background_fraction: 0.5,
-                ..DatasetConfig::default()
-            },
-            9,
-        )
-        .unwrap();
-        let hard = Dataset::generate(
-            &DatasetConfig {
-                num_samples: 24,
-                duration_s: 0.8,
-                spatialize: false,
-                snr_min_db: -30.0,
-                snr_max_db: -25.0,
-                background_fraction: 0.5,
-                ..DatasetConfig::default()
-            },
-            9,
-        )
-        .unwrap();
-        let det = EnergyDetector::new(fs).unwrap();
-        let easy_acc = det.evaluate(&easy).unwrap();
-        let hard_acc = det.evaluate(&hard).unwrap();
-        assert!(easy_acc > 0.7, "easy accuracy {easy_acc}");
-        assert!(
-            hard_acc < easy_acc + 1e-9,
-            "hard ({hard_acc}) should not beat easy ({easy_acc})"
-        );
-    }
-
-    #[test]
     fn errors_on_empty_or_too_short_input() {
         let fs = 16_000.0;
         let energy = EnergyDetector::new(fs).unwrap();
         assert!(energy.band_energy_ratio(&[0.0; 10]).is_err());
-        assert!(energy.evaluate(&Dataset::default()).is_err());
         let template = SpectralTemplateDetector::new(fs).unwrap();
         assert!(template.predict(&[0.0; 10]).is_err());
-        assert!(template.evaluate(&Dataset::default()).is_err());
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use ispot_dsp::DspError;
 use ispot_features::FeatureError;
-use ispot_nn::NnError;
-use ispot_roadsim::RoadSimError;
 use std::error::Error;
 use std::fmt;
 
@@ -23,10 +21,6 @@ pub enum SedError {
     Dsp(DspError),
     /// A feature-extraction step failed.
     Feature(FeatureError),
-    /// A neural-network step failed.
-    Nn(NnError),
-    /// The road-acoustics simulation failed.
-    RoadSim(RoadSimError),
 }
 
 impl fmt::Display for SedError {
@@ -38,8 +32,6 @@ impl fmt::Display for SedError {
             SedError::EmptyDataset => write!(f, "dataset contains no samples"),
             SedError::Dsp(e) => write!(f, "dsp error: {e}"),
             SedError::Feature(e) => write!(f, "feature extraction error: {e}"),
-            SedError::Nn(e) => write!(f, "neural network error: {e}"),
-            SedError::RoadSim(e) => write!(f, "road simulation error: {e}"),
         }
     }
 }
@@ -49,8 +41,6 @@ impl Error for SedError {
         match self {
             SedError::Dsp(e) => Some(e),
             SedError::Feature(e) => Some(e),
-            SedError::Nn(e) => Some(e),
-            SedError::RoadSim(e) => Some(e),
             _ => None,
         }
     }
@@ -65,18 +55,6 @@ impl From<DspError> for SedError {
 impl From<FeatureError> for SedError {
     fn from(e: FeatureError) -> Self {
         SedError::Feature(e)
-    }
-}
-
-impl From<NnError> for SedError {
-    fn from(e: NnError) -> Self {
-        SedError::Nn(e)
-    }
-}
-
-impl From<RoadSimError> for SedError {
-    fn from(e: RoadSimError) -> Self {
-        SedError::RoadSim(e)
     }
 }
 
@@ -100,8 +78,6 @@ mod tests {
             .to_string()
             .contains("snr"));
         assert!(!SedError::EmptyDataset.to_string().is_empty());
-        let e: SedError = NnError::EmptyModel.into();
-        assert!(Error::source(&e).is_some());
         let e: SedError = FeatureError::invalid_config("x", "y").into();
         assert!(Error::source(&e).is_some());
     }

@@ -2,19 +2,20 @@
 //!
 //! Emergency sound event detection for automotive scenarios.
 //!
-//! This crate reproduces the dataset-generation protocol and detection task of Sec.
-//! IV-A of the I-SPOT paper:
+//! This crate reproduces the detection task of Sec. IV-A of the I-SPOT paper:
 //!
 //! * parametric synthesisers for the three siren patterns studied in the emergency-
 //!   vehicle-detection literature (**hi-low**, **wail**, **yelp**), car horns and urban
 //!   background noise (substituting for the freesound.org recordings used by the
 //!   authors, which are not redistributable);
-//! * a dataset generator that moves each event source along a random trajectory through
-//!   the road-acoustics simulator and mixes it with background noise at a random SNR in
-//!   `[-30, 0]` dB — the paper's 15 000-sample protocol;
-//! * a CNN detector over log-mel features plus two classical baselines (band-energy and
-//!   spectral-template matching);
+//! * two classical detectors (band-energy and spectral-template matching); the
+//!   template detector is the pipeline's per-frame classifier;
 //! * classification metrics (accuracy, per-class precision/recall/F1, confusion matrix).
+//!
+//! The paper's dataset generator (events rendered through the road simulator) and
+//! its CNN detector are training and evaluation tools, not runtime code: they live
+//! in `ispot-bench` (`ispot_bench::dataset`, `ispot_bench::detector`), so this crate
+//! compiles neither the simulator nor the neural-network library.
 //!
 //! # Example
 //!
@@ -33,8 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod dataset;
-pub mod detector;
 pub mod error;
 pub mod labels;
 pub mod metrics;
@@ -47,8 +46,6 @@ pub use labels::EventClass;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::baseline::{EnergyDetector, SpectralTemplateDetector};
-    pub use crate::dataset::{Dataset, DatasetConfig, DatasetSample};
-    pub use crate::detector::{CnnDetector, DetectorConfig};
     pub use crate::error::SedError;
     pub use crate::labels::EventClass;
     pub use crate::metrics::ClassificationReport;

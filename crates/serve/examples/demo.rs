@@ -1,9 +1,10 @@
-//! `ispot-serve` — demo host: N concurrent siren streams over a fixed worker
+//! `ispot-serve` demo host: N concurrent siren streams over a fixed worker
 //! pool, reporting throughput, latency quantiles and degrade activity.
 //!
 //! ```text
-//! ispot-serve [--sessions N] [--workers N] [--seconds S] [--chunk LEN] [--smoke]
-//!             [--metrics-port P] [--linger S]
+//! cargo run --release -p ispot-serve --example demo -- \
+//!     [--sessions N] [--workers N] [--seconds S] [--chunk LEN] [--smoke] \
+//!     [--metrics-port P] [--linger S]
 //! ```
 //!
 //! The driver renders one multichannel siren scene with `ispot-roadsim`, opens

@@ -43,6 +43,10 @@
 //! only on its own chunk order, so the same audio split the same way yields
 //! bit-identical events at any worker count (see `tests/determinism.rs`).
 //!
+//! The `demo` example drives a host with rendered siren traffic and can serve
+//! the endpoint while it runs:
+//! `cargo run --release -p ispot-serve --example demo -- --metrics-port 9464`.
+//!
 //! [`Engine`]: ispot_core::api::Engine
 //! [`Session`]: ispot_core::api::Session
 //! [`Session::set_localization_shed`]: ispot_core::api::Session::set_localization_shed

@@ -71,8 +71,8 @@ use crate::srp_kernels as kernels;
 use crate::srp_phat::{DoaEstimate, SrpConfig, SrpMap, SrpPhat, SrpScratch};
 use crate::steering::SteeringGrid;
 use ispot_dsp::complex::Complex;
+use ispot_dsp::microphone::MicrophoneArray;
 use ispot_dsp::simd::fma_available;
-use ispot_roadsim::microphone::MicrophoneArray;
 use std::f64::consts::PI;
 
 /// Number of sinc-interpolation taps on each side of the steering delay.

@@ -11,7 +11,7 @@ use crate::error::SslError;
 use crate::steering::SteeringGrid;
 use ispot_dsp::complex::Complex;
 use ispot_dsp::fft::Fft;
-use ispot_roadsim::microphone::MicrophoneArray;
+use ispot_dsp::microphone::MicrophoneArray;
 use std::f64::consts::PI;
 
 /// Configuration shared by the conventional and low-complexity SRP-PHAT front-ends.
@@ -395,7 +395,9 @@ impl SrpPhat {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration or array is invalid.
+    /// Returns an error if the configuration or array is invalid, including an
+    /// array whose largest steering delay reaches `frame_len / 2` lags: a frame's
+    /// cross-correlation holds no lags beyond that.
     pub fn new(
         config: SrpConfig,
         array: &MicrophoneArray,
@@ -408,6 +410,17 @@ impl SrpPhat {
             sample_rate,
             config.speed_of_sound,
         )?;
+        let max_lag = config.frame_len / 2;
+        if grid.max_tdoa_samples() >= max_lag as f64 {
+            return Err(SslError::invalid_config(
+                "array",
+                format!(
+                    "steering delays reach {:.0} samples; a {}-sample frame resolves under {max_lag}",
+                    grid.max_tdoa_samples(),
+                    config.frame_len
+                ),
+            ));
+        }
         let fft = Fft::new(config.frame_len);
         let bin_hz = sample_rate / config.frame_len as f64;
         let kmin = (config.freq_min_hz / bin_hz).ceil().max(1.0) as usize;
@@ -720,6 +733,15 @@ mod tests {
         ] {
             assert!(SrpPhat::new(bad, &array, fs).is_err());
         }
+        // One coordinate off by a unit typo (1e4 m): its steering delays would
+        // need lags far beyond a frame's cross-correlation.
+        let mut positions = array.positions().to_vec();
+        positions[2].x = 1e4;
+        let typo = MicrophoneArray::custom(positions).unwrap();
+        assert!(matches!(
+            SrpPhat::new(SrpConfig::default(), &typo, fs),
+            Err(SslError::InvalidConfig { name: "array", .. })
+        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Far-field steering model over an azimuth grid.
 
 use crate::error::SslError;
-use ispot_roadsim::geometry::Position;
-use ispot_roadsim::microphone::MicrophoneArray;
+use ispot_dsp::geometry::Position;
+use ispot_dsp::microphone::MicrophoneArray;
 
 /// An azimuth grid plus the per-pair expected TDOAs (in samples) for a far-field source
 /// in each grid direction.
@@ -14,7 +14,7 @@ use ispot_roadsim::microphone::MicrophoneArray;
 /// # Example
 ///
 /// ```
-/// use ispot_roadsim::{geometry::Position, microphone::MicrophoneArray};
+/// use ispot_dsp::{geometry::Position, microphone::MicrophoneArray};
 /// use ispot_ssl::steering::SteeringGrid;
 ///
 /// # fn main() -> Result<(), ispot_ssl::SslError> {
@@ -42,7 +42,8 @@ impl SteeringGrid {
     /// # Errors
     ///
     /// Returns an error if the grid is empty, the array has fewer than two
-    /// microphones, or the physical constants are not positive.
+    /// microphones or a non-finite coordinate, or the physical constants are not
+    /// positive and finite.
     pub fn azimuth_only(
         array: &MicrophoneArray,
         num_directions: usize,
@@ -61,10 +62,21 @@ impl SteeringGrid {
                 "needs at least two microphones",
             ));
         }
-        if sample_rate <= 0.0 || speed_of_sound <= 0.0 {
+        let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+        if !(positive_finite(sample_rate) && positive_finite(speed_of_sound)) {
             return Err(SslError::invalid_config(
                 "sample_rate/speed_of_sound",
-                "must be positive",
+                "must be positive and finite",
+            ));
+        }
+        if array
+            .positions()
+            .iter()
+            .any(|p| !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()))
+        {
+            return Err(SslError::invalid_config(
+                "array",
+                "microphone coordinates must be finite",
             ));
         }
         let centroid = array.centroid();
@@ -234,8 +246,19 @@ mod tests {
         let array = linear_array();
         assert!(SteeringGrid::azimuth_only(&array, 0, 16_000.0, 343.0).is_err());
         assert!(SteeringGrid::azimuth_only(&array, 10, 0.0, 343.0).is_err());
+        assert!(SteeringGrid::azimuth_only(&array, 10, f64::NAN, 343.0).is_err());
+        assert!(SteeringGrid::azimuth_only(&array, 10, 16_000.0, f64::INFINITY).is_err());
         let single = MicrophoneArray::linear(1, 0.1, Position::ORIGIN);
         assert!(SteeringGrid::azimuth_only(&single, 10, 16_000.0, 343.0).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut positions = array.positions().to_vec();
+            positions[1].y = bad;
+            let array = MicrophoneArray::custom(positions).unwrap();
+            assert!(matches!(
+                SteeringGrid::azimuth_only(&array, 10, 16_000.0, 343.0),
+                Err(SslError::InvalidConfig { name: "array", .. })
+            ));
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use ispot::codesign::ir::OpGraph;
 use ispot::codesign::platform::EdgePlatform;
 use ispot::nn::prune::{prune_magnitude, sparsity};
 use ispot::nn::quantize::quantize_model;
-use ispot::sed::dataset::{Dataset, DatasetConfig};
-use ispot::sed::detector::{CnnDetector, DetectorConfig};
+use ispot_bench::dataset::{Dataset, DatasetConfig};
+use ispot_bench::detector::{CnnDetector, DetectorConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = 16_000.0;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = dataset.split(0.7)?;
     let mut detector = CnnDetector::new(DetectorConfig::tiny(), fs)?;
     detector.train(&train)?;
-    let baseline_accuracy = detector.evaluate(&test)?.accuracy();
+    let baseline_accuracy = test.evaluate(|audio| detector.predict(audio))?.accuracy();
     println!("baseline detector accuracy: {baseline_accuracy:.3}");
     println!("baseline parameters: {}", detector.num_parameters());
 
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "model sparsity after passes: {:.2}",
         sparsity(detector.model_mut())
     );
-    let compressed_accuracy = detector.evaluate(&test)?.accuracy();
+    let compressed_accuracy = test.evaluate(|audio| detector.predict(audio))?.accuracy();
     println!("accuracy: baseline {baseline_accuracy:.3} -> compressed {compressed_accuracy:.3}");
     Ok(())
 }

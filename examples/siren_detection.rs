@@ -5,9 +5,10 @@
 
 use ispot::core::prelude::*;
 use ispot::sed::baseline::{EnergyDetector, SpectralTemplateDetector};
-use ispot::sed::dataset::{Dataset, DatasetConfig};
-use ispot::sed::detector::{CnnDetector, DetectorConfig};
 use ispot::sed::sirens::{SirenKind, SirenSynthesizer};
+use ispot::sed::EventClass;
+use ispot_bench::dataset::{Dataset, DatasetConfig};
+use ispot_bench::detector::{CnnDetector, DetectorConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = 16_000.0;
@@ -44,9 +45,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Evaluate against the classical baselines.
-    let cnn_report = cnn.evaluate(&test)?;
-    let template_report = SpectralTemplateDetector::new(fs)?.evaluate(&test)?;
-    let energy_accuracy = EnergyDetector::new(fs)?.evaluate(&test)?;
+    let cnn_report = test.evaluate(|audio| cnn.predict(audio))?;
+    let template = SpectralTemplateDetector::new(fs)?;
+    let template_report = test.evaluate(|audio| template.predict(audio))?;
+    // The energy baseline is binary: a hit scores as any event class.
+    let energy = EnergyDetector::new(fs)?;
+    let energy_accuracy = test
+        .evaluate(|audio| {
+            energy.detect(audio).map(|hit| {
+                if hit {
+                    EventClass::WailSiren
+                } else {
+                    EventClass::Background
+                }
+            })
+        })?
+        .event_detection_accuracy();
 
     println!("\nCNN detector:\n{cnn_report}");
     println!("spectral-template baseline:\n{template_report}");

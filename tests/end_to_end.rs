@@ -8,12 +8,12 @@ use ispot::core::api::PipelineBuilder;
 use ispot::core::mode::OperatingMode;
 use ispot::roadsim::prelude::*;
 use ispot::sed::baseline::SpectralTemplateDetector;
-use ispot::sed::dataset::{Dataset, DatasetConfig};
 use ispot::sed::sirens::{SirenKind, SirenSynthesizer};
 use ispot::sed::EventClass;
 use ispot::ssl::metrics::angular_error_deg;
 use ispot::ssl::srp_fast::SrpPhatFast;
 use ispot::ssl::srp_phat::{SrpConfig, SrpPhat};
+use ispot_bench::dataset::{Dataset, DatasetConfig};
 
 const FS: f64 = 16_000.0;
 
@@ -90,7 +90,7 @@ fn detector_separates_dataset_classes_from_background() {
     )
     .unwrap();
     let detector = SpectralTemplateDetector::new(FS).unwrap();
-    let report = detector.evaluate(&dataset).unwrap();
+    let report = dataset.evaluate(|audio| detector.predict(audio)).unwrap();
     assert!(
         report.event_detection_accuracy() > 0.7,
         "event-detection accuracy {}",
@@ -132,7 +132,7 @@ fn codesign_loop_runs_on_the_real_detector_graph() {
     // Build the IR straight from an (untrained) detector network and make sure the
     // exploration finds a feasible faster point on every platform model.
     let mut detector =
-        ispot::sed::detector::CnnDetector::new(ispot::sed::detector::DetectorConfig::tiny(), FS)
+        ispot_bench::detector::CnnDetector::new(ispot_bench::detector::DetectorConfig::tiny(), FS)
             .unwrap();
     let graph = OpGraph::from_sequential("sed-cnn", detector.model_mut(), &[1, 16, 16]);
     assert_eq!(graph.total_parameters(), detector.num_parameters());
