@@ -111,6 +111,7 @@ impl Manifest {
                         "track_peaks",
                         "run_frame",
                         "run_frame_observed",
+                        "mix_down",
                         "observe",
                     ],
                 ),

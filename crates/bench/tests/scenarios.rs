@@ -107,19 +107,22 @@ fn smoke_scene_runs_end_to_end() {
 }
 
 /// Perf pin: the full per-frame pipeline (SED + f32 SIMD SRP with hierarchical
-/// search + tracking) must stay comfortably real-time. Measured ~0.32 ms/frame
-/// on the reference host; the bound leaves ~3x headroom for machine-speed
-/// fluctuation while still catching a regression back towards the ~1.3 ms/frame
-/// the pre-SIMD exhaustive pipeline cost. Release builds only — debug codegen
-/// is an order of magnitude slower and says nothing about the shipped kernels.
+/// search + tracking) must stay comfortably real-time. Over 14 release runs on
+/// a 2-vCPU shared VM the mean per-frame latency had a median of 0.28 ms and a
+/// worst run of 0.63 ms (CPU steal); before detection reused the sub-frames
+/// consecutive frames share it was 0.43 ms and 0.49 ms. The bound leaves room
+/// for a noisy runner while still catching a regression towards the
+/// ~1.3 ms/frame the pre-SIMD exhaustive pipeline cost. Release builds only —
+/// debug codegen is an order of magnitude slower and says nothing about the
+/// shipped kernels.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "perf pin is only meaningful in release")]
 fn pass_by_frame_latency_stays_under_budget() {
     let scenario = scenarios::siren_pass_by_in_traffic(16_000.0, 4.0);
     let report = scenarios::evaluate(&scenario).expect("evaluation succeeds");
     assert!(
-        report.mean_frame_latency_ms <= 1.0,
-        "mean per-frame latency {:.3} ms above the 1.0 ms budget",
+        report.mean_frame_latency_ms <= 0.75,
+        "mean per-frame latency {:.3} ms above the 0.75 ms budget",
         report.mean_frame_latency_ms
     );
 }

@@ -1235,6 +1235,22 @@ mod tests {
     }
 
     #[test]
+    fn low_sample_rates_build_an_engine_that_runs() {
+        // 8 kHz used to panic while synthesizing the background template.
+        for fs in [8_000.0, 11_025.0] {
+            let engine = PipelineBuilder::new(fs).build_engine().unwrap();
+            let siren = SirenSynthesizer::new(SirenKind::Yelp, fs).synthesize(1.0);
+            let mut counter = AlertCounter::new();
+            let frames = engine
+                .open_session()
+                .push_chunk_with(&[&siren], &mut counter)
+                .unwrap();
+            assert!(frames > 0, "{fs} Hz");
+            assert_eq!(counter.frames, frames);
+        }
+    }
+
+    #[test]
     fn sink_receives_every_frame_outcome() {
         let fs = 16_000.0;
         let siren = SirenSynthesizer::new(SirenKind::Yelp, fs).synthesize(1.0);

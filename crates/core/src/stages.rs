@@ -380,6 +380,23 @@ fn observe<T>(obs: &mut Option<ObsCtx<'_>>, stage: StageId, body: impl FnOnce() 
     }
 }
 
+/// Stage 0: averages the channels `first, rest..` into `mono`, channel by
+/// channel so every pass is contiguous. Bitwise equal to the per-sample `Sum`
+/// of the channels in order: that sum starts at -0.0, and `-0.0 + x == x` for
+/// every `x`. Every channel holds `mono.len()` samples.
+fn mix_down(first: &[f64], rest: &[&[f64]], mono: &mut [f64]) {
+    mono.copy_from_slice(first);
+    for ch in rest {
+        for (m, &x) in mono.iter_mut().zip(*ch) {
+            *m += x;
+        }
+    }
+    let scale = 1.0 / (1 + rest.len()) as f64;
+    for m in mono.iter_mut() {
+        *m *= scale;
+    }
+}
+
 /// Inputs controlling one [`StageGraph::run_frame`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameParams {
@@ -461,14 +478,14 @@ impl StageGraph {
             track,
             mono,
         } = self;
-        // An empty frame would turn the 1/N scale into infinity (NaN mixdown) and a
-        // short channel would panic on indexing below; reject both up front.
-        if frame.is_empty() {
+        // An empty frame has nothing to average and a short channel would panic
+        // in the copy below; reject both up front.
+        let Some((first, rest)) = frame.split_first() else {
             return Err(PipelineError::invalid_config(
                 "frame",
                 "must contain at least one channel",
             ));
-        }
+        };
         for ch in frame {
             if ch.len() != mono.len() {
                 return Err(PipelineError::invalid_config(
@@ -483,10 +500,7 @@ impl StageGraph {
                 ));
             }
         }
-        let scale = 1.0 / frame.len() as f64;
-        for (i, slot) in mono.iter_mut().enumerate() {
-            *slot = frame.iter().map(|c| c[i]).sum::<f64>() * scale;
-        }
+        mix_down(first, rest, mono);
         // Stage 1 (trigger): in park mode the graph sleeps until the trigger fires.
         if params.gate_on_trigger
             && !observe(&mut obs, StageId::Trigger, || trigger.process_frame(mono))
@@ -527,6 +541,7 @@ mod tests {
     use super::*;
     use crate::trigger::TriggerConfig;
     use ispot_sed::sirens::{SirenKind, SirenSynthesizer};
+    use proptest::prelude::*;
 
     /// Collects every span of a frame, in emission order.
     #[derive(Default)]
@@ -627,6 +642,37 @@ mod tests {
         ));
         // A well-formed frame still runs after the rejected ones.
         assert!(g.run_frame(&[&ok], params).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The channel-by-channel mixdown equals the per-sample `Sum` of the
+        /// channels in order, bit for bit, including where samples are ±0.0.
+        #[test]
+        fn mixdown_matches_the_per_sample_sum(
+            channels in 1usize..9,
+            values in prop::collection::vec(-1.0f64..1.0, 512..513),
+            zeros in prop::collection::vec(0usize..4, 512..513),
+        ) {
+            let samples: Vec<f64> = values
+                .iter()
+                .zip(&zeros)
+                .map(|(&v, &z)| match z {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            let frame: Vec<&[f64]> = samples.chunks(64).take(channels).collect();
+            let mut mono = vec![f64::NAN; 64];
+            mix_down(frame[0], &frame[1..], &mut mono);
+            let scale = 1.0 / channels as f64;
+            for (i, m) in mono.iter().enumerate() {
+                let reference = frame.iter().map(|c| c[i]).sum::<f64>() * scale;
+                prop_assert!(m.to_bits() == reference.to_bits(), "sample {i}: {m} vs {reference}");
+            }
+        }
     }
 
     #[test]

@@ -97,20 +97,7 @@ impl RingBuffer {
     /// Returns [`DspError::InsufficientData`] if there is not enough free space; in
     /// that case nothing is written.
     pub fn write(&mut self, data: &[f64]) -> Result<(), DspError> {
-        if data.len() > self.free() {
-            return Err(DspError::InsufficientData {
-                required: data.len(),
-                available: self.free(),
-            });
-        }
-        for &x in data {
-            self.buffer[self.head] = x;
-            self.head = (self.head + 1) % self.buffer.len();
-        }
-        if !data.is_empty() && self.head == self.tail {
-            self.full = true;
-        }
-        Ok(())
+        self.write_iter(data.iter().copied())
     }
 
     /// Writes every sample yielded by `iter` into the buffer.
@@ -123,7 +110,7 @@ impl RingBuffer {
     ///
     /// Returns [`DspError::InsufficientData`] if there is not enough free space for
     /// `iter.len()` samples; in that case nothing is written.
-    pub fn write_iter<I>(&mut self, iter: I) -> Result<(), DspError>
+    pub fn write_iter<I>(&mut self, mut iter: I) -> Result<(), DspError>
     where
         I: ExactSizeIterator<Item = f64>,
     {
@@ -134,10 +121,18 @@ impl RingBuffer {
                 available: self.free(),
             });
         }
-        for x in iter {
-            self.buffer[self.head] = x;
-            self.head = (self.head + 1) % self.buffer.len();
+        // Two contiguous runs: `[head..end)`, then the wrapped rest from 0.
+        let first = len.min(self.buffer.len() - self.head);
+        for (slot, x) in self.buffer[self.head..self.head + first]
+            .iter_mut()
+            .zip(&mut iter)
+        {
+            *slot = x;
         }
+        for (slot, x) in self.buffer[..len - first].iter_mut().zip(iter) {
+            *slot = x;
+        }
+        self.head = (self.head + len) % self.buffer.len();
         if len > 0 && self.head == self.tail {
             self.full = true;
         }
@@ -151,20 +146,8 @@ impl RingBuffer {
     /// Returns [`DspError::InsufficientData`] if fewer samples are available; in that
     /// case nothing is consumed.
     pub fn read(&mut self, out: &mut [f64]) -> Result<(), DspError> {
-        if out.len() > self.available() {
-            return Err(DspError::InsufficientData {
-                required: out.len(),
-                available: self.available(),
-            });
-        }
-        for slot in out.iter_mut() {
-            *slot = self.buffer[self.tail];
-            self.tail = (self.tail + 1) % self.buffer.len();
-        }
-        if !out.is_empty() {
-            self.full = false;
-        }
-        Ok(())
+        self.peek(out)?;
+        self.skip(out.len())
     }
 
     /// Copies the oldest `out.len()` samples into `out` without consuming them.
@@ -179,11 +162,11 @@ impl RingBuffer {
                 available: self.available(),
             });
         }
-        let mut idx = self.tail;
-        for slot in out.iter_mut() {
-            *slot = self.buffer[idx];
-            idx = (idx + 1) % self.buffer.len();
-        }
+        // Two contiguous runs: `[tail..end)`, then the wrapped rest from 0.
+        let first = out.len().min(self.buffer.len() - self.tail);
+        let (front, back) = out.split_at_mut(first);
+        front.copy_from_slice(&self.buffer[self.tail..self.tail + first]);
+        back.copy_from_slice(&self.buffer[..back.len()]);
         Ok(())
     }
 
@@ -199,11 +182,8 @@ impl RingBuffer {
         }
         let stored = self.available();
         let mut buffer = vec![0.0; new_capacity];
-        let mut idx = self.tail;
-        for slot in buffer.iter_mut().take(stored) {
-            *slot = self.buffer[idx];
-            idx = (idx + 1) % self.buffer.len();
-        }
+        self.peek(&mut buffer[..stored])
+            .expect("peeking exactly the stored samples cannot fail");
         self.buffer = buffer;
         self.tail = 0;
         self.head = stored;
@@ -233,6 +213,8 @@ impl RingBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn write_then_read_preserves_order() {
@@ -329,5 +311,76 @@ mod tests {
         rb.clear();
         assert!(rb.is_empty());
         assert_eq!(rb.free(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Model check against a `VecDeque`: any interleaving of every operation
+        /// on a small ring (so runs wrap often) stores, returns and refuses
+        /// exactly what an unbounded FIFO capped at the ring's capacity would.
+        #[test]
+        fn matches_a_vecdeque_model(
+            capacity in 1usize..18,
+            ops in prop::collection::vec(0usize..6 * 20, 1..64),
+        ) {
+            let mut rb = RingBuffer::new(capacity).unwrap();
+            let mut model: VecDeque<f64> = VecDeque::new();
+            let mut cap = capacity;
+            let mut next = 0.0;
+            for op in ops {
+                let n = op / 6;
+                let fits = n <= cap - model.len();
+                let stored = n <= model.len();
+                match op % 6 {
+                    0 | 1 => {
+                        let data: Vec<f64> = (0..n).map(|i| next + i as f64).collect();
+                        next += n as f64;
+                        let result = if op % 6 == 0 {
+                            rb.write(&data)
+                        } else {
+                            rb.write_iter(data.iter().copied())
+                        };
+                        prop_assert_eq!(result.is_ok(), fits);
+                        if fits {
+                            model.extend(&data);
+                        }
+                    }
+                    2 | 3 => {
+                        let mut out = vec![f64::NAN; n];
+                        let result = if op % 6 == 2 {
+                            rb.peek(&mut out)
+                        } else {
+                            rb.read(&mut out)
+                        };
+                        prop_assert_eq!(result.is_ok(), stored);
+                        if stored {
+                            let expected: Vec<f64> = if op % 6 == 2 {
+                                model.iter().take(n).copied().collect()
+                            } else {
+                                model.drain(..n).collect()
+                            };
+                            prop_assert_eq!(out, expected);
+                        }
+                    }
+                    4 => {
+                        prop_assert_eq!(rb.skip(n).is_ok(), stored);
+                        if stored {
+                            model.drain(..n);
+                        }
+                    }
+                    _ => {
+                        rb.grow(cap + n);
+                        cap += n;
+                    }
+                }
+                prop_assert_eq!(rb.capacity(), cap);
+                prop_assert_eq!(rb.available(), model.len());
+                prop_assert_eq!(rb.is_full(), model.len() == cap);
+                let mut all = vec![0.0; model.len()];
+                rb.peek(&mut all).unwrap();
+                prop_assert!(all.iter().eq(model.iter()));
+            }
+        }
     }
 }

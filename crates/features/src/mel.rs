@@ -22,14 +22,26 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 }
 
 /// A triangular mel filterbank applied to power spectra.
+///
+/// Each band is stored over its support only: the first bin with a non-zero
+/// weight and the weights up to the last non-zero one. At the detector's 32
+/// bands × 257 bins that is 488 of 8,224 weights. The bins left out have
+/// weight zero, so for a finite spectrum every band sum is bit-identical to
+/// the sum over all bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MelFilterbank {
-    /// One weight vector (over FFT bins) per mel band.
-    weights: Vec<Vec<f64>>,
+    bands: Vec<MelBand>,
     num_bins: usize,
     sample_rate: f64,
     f_min: f64,
     f_max: f64,
+}
+
+/// One band's weights for bins `start..start + weights.len()`.
+#[derive(Debug, Clone, PartialEq)]
+struct MelBand {
+    start: usize,
+    weights: Vec<f64>,
 }
 
 impl MelFilterbank {
@@ -66,30 +78,22 @@ impl MelFilterbank {
                 format!("must satisfy 0 <= f_min < f_max <= fs/2, got [{f_min}, {f_max}]"),
             ));
         }
-        let mel_lo = hz_to_mel(f_min);
-        let mel_hi = hz_to_mel(f_max);
-        // num_bands + 2 equally spaced mel points define the triangle edges.
-        let mel_points: Vec<f64> = (0..num_bands + 2)
-            .map(|i| mel_lo + (mel_hi - mel_lo) * i as f64 / (num_bands + 1) as f64)
-            .collect();
-        let hz_points: Vec<f64> = mel_points.iter().map(|&m| mel_to_hz(m)).collect();
-        let bin_freq = |k: usize| k as f64 * fs / (2.0 * (num_bins - 1) as f64);
-        let mut weights = Vec::with_capacity(num_bands);
-        for b in 0..num_bands {
-            let (lo, mid, hi) = (hz_points[b], hz_points[b + 1], hz_points[b + 2]);
-            let mut w = vec![0.0; num_bins];
-            for (k, slot) in w.iter_mut().enumerate() {
-                let f = bin_freq(k);
-                if f >= lo && f <= mid && mid > lo {
-                    *slot = (f - lo) / (mid - lo);
-                } else if f > mid && f <= hi && hi > mid {
-                    *slot = (hi - f) / (hi - mid);
+        let bands = dense_weights(num_bands, num_bins, fs, f_min, f_max)
+            .into_iter()
+            .map(|w| {
+                let start = w.iter().position(|&x| x != 0.0).unwrap_or(0);
+                let end = w
+                    .iter()
+                    .rposition(|&x| x != 0.0)
+                    .map_or(start, |last| last + 1);
+                MelBand {
+                    start,
+                    weights: w[start..end].to_vec(),
                 }
-            }
-            weights.push(w);
-        }
+            })
+            .collect();
         Ok(MelFilterbank {
-            weights,
+            bands,
             num_bins,
             sample_rate: fs,
             f_min,
@@ -99,7 +103,7 @@ impl MelFilterbank {
 
     /// Number of mel bands.
     pub fn num_bands(&self) -> usize {
-        self.weights.len()
+        self.bands.len()
     }
 
     /// Number of FFT bins this filterbank expects.
@@ -156,12 +160,14 @@ impl MelFilterbank {
                 ),
             ));
         }
+        // Fold from +0.0, not `Sum`'s -0.0: a band with no support must give
+        // the +0.0 that the dense sum reached by adding zero-weight terms.
         out.clear();
-        out.extend(self.weights.iter().map(|w| {
-            w.iter()
-                .zip(power_spectrum)
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
+        out.extend(self.bands.iter().map(|band| {
+            band.weights
+                .iter()
+                .zip(&power_spectrum[band.start..])
+                .fold(0.0, |acc, (w, p)| acc + w * p)
         }));
         Ok(())
     }
@@ -180,9 +186,43 @@ impl MelFilterbank {
     }
 }
 
+/// The triangular weights of every band over all `num_bins` bins.
+fn dense_weights(
+    num_bands: usize,
+    num_bins: usize,
+    fs: f64,
+    f_min: f64,
+    f_max: f64,
+) -> Vec<Vec<f64>> {
+    let mel_lo = hz_to_mel(f_min);
+    let mel_hi = hz_to_mel(f_max);
+    // num_bands + 2 equally spaced mel points define the triangle edges.
+    let mel_points: Vec<f64> = (0..num_bands + 2)
+        .map(|i| mel_lo + (mel_hi - mel_lo) * i as f64 / (num_bands + 1) as f64)
+        .collect();
+    let hz_points: Vec<f64> = mel_points.iter().map(|&m| mel_to_hz(m)).collect();
+    let bin_freq = |k: usize| k as f64 * fs / (2.0 * (num_bins - 1) as f64);
+    (0..num_bands)
+        .map(|b| {
+            let (lo, mid, hi) = (hz_points[b], hz_points[b + 1], hz_points[b + 2]);
+            let mut w = vec![0.0; num_bins];
+            for (k, slot) in w.iter_mut().enumerate() {
+                let f = bin_freq(k);
+                if f >= lo && f <= mid && mid > lo {
+                    *slot = (f - lo) / (mid - lo);
+                } else if f > mid && f <= hi && hi > mid {
+                    *slot = (hi - f) / (hi - mid);
+                }
+            }
+            w
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mel_scale_is_monotonic_and_invertible() {
@@ -202,7 +242,7 @@ mod tests {
         assert_eq!(fb.num_bins(), 257);
         // Every band has non-negative weights and at least one positive weight.
         for b in 0..fb.num_bands() {
-            let w = &fb.weights[b];
+            let w = &fb.bands[b].weights;
             assert!(w.iter().all(|&x| x >= 0.0));
             assert!(w.iter().any(|&x| x > 0.0), "band {b} is empty");
         }
@@ -254,5 +294,43 @@ mod tests {
     fn wrong_spectrum_length_rejected() {
         let fb = MelFilterbank::new(10, 65, 8000.0, 0.0, 4000.0).unwrap();
         assert!(fb.apply(&vec![0.0; 64]).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sparse bands give, bit for bit, the sum over every bin of the
+        /// dense weights, for any finite non-negative spectrum.
+        #[test]
+        fn sparse_bands_match_the_dense_sum(
+            config in 0usize..5,
+            values in prop::collection::vec(0.0f64..1e3, 1025..1026),
+            zeros in prop::collection::vec(0usize..1025, 0..256),
+        ) {
+            let (num_bands, num_bins, fs, f_min, f_max) = [
+                (32, 257, 16_000.0, 50.0, 8_000.0),
+                (32, 257, 11_025.0, 50.0, 5_512.5),
+                (26, 129, 8_000.0, 0.0, 4_000.0),
+                // Bands narrower than a bin: some have no support at all.
+                (64, 65, 16_000.0, 0.0, 8_000.0),
+                (40, 1025, 44_100.0, 300.0, 12_000.0),
+            ][config];
+            let mut spectrum = values[..num_bins].to_vec();
+            for &z in &zeros {
+                spectrum[z % num_bins] = 0.0;
+            }
+            let fb = MelFilterbank::new(num_bands, num_bins, fs, f_min, f_max).unwrap();
+            let mut sparse = Vec::new();
+            fb.apply_into(&spectrum, &mut sparse).unwrap();
+            let dense = dense_weights(num_bands, num_bins, fs, f_min, f_max);
+            for (b, w) in dense.iter().enumerate() {
+                let reference = w.iter().zip(&spectrum).map(|(a, p)| a * p).sum::<f64>();
+                prop_assert!(
+                    sparse[b].to_bits() == reference.to_bits(),
+                    "band {b}: sparse {} vs dense {reference}",
+                    sparse[b]
+                );
+            }
+        }
     }
 }

@@ -114,21 +114,38 @@ impl EnergyDetector {
 /// Reusable workspace for the allocation-free
 /// [`SpectralTemplateDetector::predict_with_confidence_into`] path.
 ///
-/// All buffers are sized lazily on first use (or pre-sized by
-/// [`SpectralTemplateDetector::make_scratch`]) and reused afterwards; one scratch
-/// serves one detector at a time. Since the detector itself is immutable after
-/// construction, many concurrent streams can share one detector (e.g. behind an
-/// `Arc`) while each holds its own scratch.
+/// Besides the per-call buffers, the scratch keeps two things from its previous
+/// call: the log-mel row of every 512-sample sub-frame and a copy of the clip.
+/// Consecutive analysis frames of a stream overlap, so when the new clip starts
+/// with the previous clip's samples from some whole sub-frame hop on, bit for
+/// bit, the rows of those shared sub-frames are reused and only the new
+/// sub-frames are computed. At the pipeline's 2048/1024 frames that is 4 of 7.
+/// Rows are reused only from a call by a detector with the same sample rate,
+/// and the check is on the samples, not on a stream position, since a caller
+/// may pass any clip to any call. The features are bit-identical to a fresh
+/// scratch's either way.
+///
+/// All buffers are sized lazily on first use (or, apart from the sub-frame
+/// cache, pre-sized by [`SpectralTemplateDetector::make_scratch`]) and reused
+/// afterwards; one scratch serves one stream. Since the detector itself is
+/// immutable after construction, many concurrent streams can share one detector
+/// (e.g. behind an `Arc`) while each holds its own scratch.
 #[derive(Debug, Clone, Default)]
 pub struct DetectorScratch {
     /// STFT workspace (windowed frame + complex spectrum).
     stft: StftScratch,
-    /// Power spectrum of the current analysis frame.
+    /// Power spectrum of the current sub-frame.
     power: Vec<f64>,
-    /// Mel band energies of the current analysis frame.
+    /// Mel band energies of the current sub-frame.
     mel: Vec<f64>,
     /// Accumulated (then normalized) mean log-mel feature vector.
     features: Vec<f64>,
+    /// Log-mel row of every sub-frame of `prev` (`num_frames × num_bands`).
+    rows: Vec<f64>,
+    /// The clip `rows` were computed from; empty when `rows` pair with no clip.
+    prev: Vec<f64>,
+    /// Sample rate of the detector that computed `rows`.
+    prev_rate: f64,
 }
 
 /// Multi-class nearest-template classifier on time-averaged log-mel spectra.
@@ -136,6 +153,7 @@ pub struct DetectorScratch {
 pub struct SpectralTemplateDetector {
     spectrogram: SpectrogramExtractor,
     filterbank: MelFilterbank,
+    sample_rate: f64,
     /// One template per [`EventClass`], indexed by class index.
     templates: Vec<Vec<f64>>,
 }
@@ -163,45 +181,36 @@ impl SpectralTemplateDetector {
             50.0,
             sample_rate / 2.0,
         )?;
-        let mut templates = Vec::with_capacity(EventClass::COUNT);
+        let mut detector = SpectralTemplateDetector {
+            spectrogram,
+            filterbank,
+            sample_rate,
+            templates: Vec::with_capacity(EventClass::COUNT),
+        };
         for class in EventClass::ALL {
             let prototype = if class == EventClass::Background {
                 UrbanNoiseSynthesizer::new(sample_rate, 12_345).synthesize(2.0)
             } else {
                 synthesize_event(class, sample_rate, 2.0)
             };
-            let template = Self::mean_log_mel(&spectrogram, &filterbank, &prototype)?;
-            templates.push(template);
+            let mut scratch = DetectorScratch::default();
+            detector.mean_log_mel_into(&prototype, &mut scratch)?;
+            detector.templates.push(scratch.features);
         }
-        Ok(SpectralTemplateDetector {
-            spectrogram,
-            filterbank,
-            templates,
-        })
+        Ok(detector)
     }
 
-    fn mean_log_mel(
-        spectrogram: &SpectrogramExtractor,
-        filterbank: &MelFilterbank,
-        audio: &[f64],
-    ) -> Result<Vec<f64>, SedError> {
-        let mut scratch = DetectorScratch::default();
-        Self::mean_log_mel_into(spectrogram, filterbank, audio, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.features))
-    }
-
-    /// Streaming core of [`SpectralTemplateDetector::mean_log_mel`]: computes the
-    /// normalized mean log-mel feature vector into `scratch.features` using only
-    /// scratch-owned buffers. Numerically identical to the batch path (same frame
-    /// walk, same per-column accumulation order), but allocation-free in steady
-    /// state.
+    /// Computes the normalized mean log-mel feature vector of `audio` into
+    /// `scratch.features`: the log-mel rows of the 512-sample sub-frames, summed
+    /// in sub-frame order from zero, then averaged and normalized. Rows shared
+    /// with the scratch's previous clip are reused (see [`DetectorScratch`]);
+    /// allocation-free in steady state.
     fn mean_log_mel_into(
-        spectrogram: &SpectrogramExtractor,
-        filterbank: &MelFilterbank,
+        &self,
         audio: &[f64],
         scratch: &mut DetectorScratch,
     ) -> Result<(), SedError> {
-        let config = spectrogram.config();
+        let config = self.spectrogram.config();
         if audio.len() < config.frame_len {
             return Err(FeatureError::SignalTooShort {
                 required: config.frame_len,
@@ -209,20 +218,59 @@ impl SpectralTemplateDetector {
             }
             .into());
         }
-        let num_frames = spectrogram.frames_for(audio.len());
-        let num_bands = filterbank.num_bands();
-        scratch.features.clear();
-        scratch.features.resize(num_bands, 0.0);
-        for f in 0..num_frames {
+        let num_frames = self.spectrogram.frames_for(audio.len());
+        let num_bands = self.filterbank.num_bands();
+        let DetectorScratch {
+            stft,
+            power,
+            mel,
+            features,
+            rows,
+            prev,
+            prev_rate,
+        } = scratch;
+        // The smallest whole number of sub-frame hops `k` by which the clip
+        // advanced over bit-equal samples: then sub-frame `f` is the previous
+        // clip's sub-frame `f + k`.
+        let shift = if *prev_rate == self.sample_rate && prev.len() == audio.len() {
+            (1..num_frames).find(|&k| {
+                prev[k * config.hop..]
+                    .iter()
+                    .zip(audio)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+        } else {
+            None
+        };
+        // Until every row is computed, the rows pair with no clip.
+        prev.clear();
+        let reused = match shift {
+            Some(k) => {
+                rows.copy_within(k * num_bands.., 0);
+                num_frames - k
+            }
+            None => 0,
+        };
+        rows.resize(num_frames * num_bands, 0.0);
+        for (f, row) in rows.chunks_exact_mut(num_bands).enumerate().skip(reused) {
             let start = f * config.hop;
             let frame = &audio[start..start + config.frame_len];
-            spectrogram.power_frame_into(frame, &mut scratch.stft, &mut scratch.power)?;
-            filterbank.apply_into(&scratch.power, &mut scratch.mel)?;
-            for (acc, &m) in scratch.features.iter_mut().zip(&scratch.mel) {
-                *acc += m.max(1e-10).ln();
+            self.spectrogram.power_frame_into(frame, stft, power)?;
+            self.filterbank.apply_into(power, mel)?;
+            for (r, &m) in row.iter_mut().zip(mel.iter()) {
+                *r = m.max(1e-10).ln();
             }
         }
-        let mean = &mut scratch.features;
+        prev.extend_from_slice(audio);
+        *prev_rate = self.sample_rate;
+        features.clear();
+        features.resize(num_bands, 0.0);
+        for row in rows.chunks_exact(num_bands) {
+            for (acc, &r) in features.iter_mut().zip(row) {
+                *acc += r;
+            }
+        }
+        let mean = features;
         for v in mean.iter_mut() {
             *v /= num_frames as f64;
         }
@@ -259,15 +307,17 @@ impl SpectralTemplateDetector {
         self.predict_with_confidence_into(audio, &mut scratch)
     }
 
-    /// Creates a scratch pre-sized for this detector, so even the first
-    /// [`SpectralTemplateDetector::predict_with_confidence_into`] call allocates
-    /// nothing.
+    /// Creates a scratch pre-sized for this detector's spectra. The sub-frame
+    /// cache is sized by the first
+    /// [`SpectralTemplateDetector::predict_with_confidence_into`] call, so later
+    /// calls on clips of that length allocate nothing.
     pub fn make_scratch(&self) -> DetectorScratch {
         let mut scratch = DetectorScratch {
             stft: self.spectrogram.make_stft_scratch(),
             power: Vec::with_capacity(self.spectrogram.num_bins()),
             mel: Vec::with_capacity(self.filterbank.num_bands()),
             features: Vec::with_capacity(self.filterbank.num_bands()),
+            ..DetectorScratch::default()
         };
         scratch.power.resize(self.spectrogram.num_bins(), 0.0);
         scratch.mel.resize(self.filterbank.num_bands(), 0.0);
@@ -289,7 +339,7 @@ impl SpectralTemplateDetector {
         audio: &[f64],
         scratch: &mut DetectorScratch,
     ) -> Result<(EventClass, f64), SedError> {
-        Self::mean_log_mel_into(&self.spectrogram, &self.filterbank, audio, scratch)?;
+        self.mean_log_mel_into(audio, scratch)?;
         let features = &scratch.features;
         let mut best = EventClass::Background;
         let mut best_score = f64::NEG_INFINITY;
@@ -308,6 +358,8 @@ impl SpectralTemplateDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// The pre-refactor batch feature path (whole-matrix spectrogram + mel +
     /// column means), kept to pin the streaming scratch path against.
@@ -395,6 +447,104 @@ mod tests {
         assert!(energy.band_energy_ratio(&[0.0; 10]).is_err());
         let template = SpectralTemplateDetector::new(fs).unwrap();
         assert!(template.predict(&[0.0; 10]).is_err());
+    }
+
+    /// One detector for the scratch-reuse tests: building it dominates a
+    /// debug-build test case.
+    fn detector_16k() -> &'static SpectralTemplateDetector {
+        static DETECTOR: OnceLock<SpectralTemplateDetector> = OnceLock::new();
+        DETECTOR.get_or_init(|| SpectralTemplateDetector::new(16_000.0).unwrap())
+    }
+
+    /// One second of a wail over urban noise.
+    fn wail_over_noise(fs: f64) -> Vec<f64> {
+        let siren = synthesize_event(EventClass::WailSiren, fs, 1.0);
+        let noise = UrbanNoiseSynthesizer::new(fs, 3).synthesize(1.0);
+        siren.iter().zip(&noise).map(|(s, n)| 0.3 * s + n).collect()
+    }
+
+    /// Class, confidence and features of one call as bits (`None` on error).
+    fn classify_bits(
+        detector: &SpectralTemplateDetector,
+        clip: &[f64],
+        scratch: &mut DetectorScratch,
+    ) -> Option<(EventClass, u64, Vec<u64>)> {
+        let (class, confidence) = detector.predict_with_confidence_into(clip, scratch).ok()?;
+        let features = scratch.features.iter().map(|v| v.to_bits()).collect();
+        Some((class, confidence.to_bits(), features))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A scratch kept across calls gives what a fresh scratch gives, bit for
+        /// bit, on any walk of 2048-sample frames: advances of 0–8 sub-frame
+        /// hops, advances that are no multiple of the hop, jumps past the
+        /// previous frame, frames holding -0.0 or NaN, and a too-short call.
+        #[test]
+        fn persistent_scratch_matches_a_fresh_one(
+            steps in prop::collection::vec(0usize..64, 1..24),
+            specials in prop::collection::vec(0usize..16_000, 0..4),
+            short_at in 0usize..24,
+        ) {
+            let detector = detector_16k();
+            let mut signal = wail_over_noise(16_000.0);
+            for (i, &at) in specials.iter().enumerate() {
+                signal[at] = if i % 2 == 0 { -0.0 } else { f64::NAN };
+            }
+            let mut persistent = DetectorScratch::default();
+            let mut pos = 0;
+            for (i, &step) in steps.iter().enumerate() {
+                if i == short_at {
+                    prop_assert!(classify_bits(detector, &signal[..511], &mut persistent).is_none());
+                }
+                let advance = match step {
+                    0..=35 => (step % 9) * 256,
+                    36..=53 => 1 + step * 37 % 255 + 256 * (step % 5),
+                    _ => 2048 + step * 61,
+                };
+                pos = (pos + advance) % (signal.len() - 2048);
+                let clip = &signal[pos..pos + 2048];
+                let fresh = classify_bits(detector, clip, &mut DetectorScratch::default());
+                prop_assert!(fresh.is_some());
+                prop_assert_eq!(classify_bits(detector, clip, &mut persistent), fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_sub_frames_a_clip_does_not_share_are_computed() {
+        let detector = detector_16k();
+        let signal = wail_over_noise(16_000.0);
+        let mut scratch = detector.make_scratch();
+        detector
+            .predict_with_confidence_into(&signal[..2048], &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.rows.len(), 7 * 32);
+        // Poison the cache: rows the next call reuses stay NaN.
+        scratch.rows.fill(f64::NAN);
+        detector
+            .predict_with_confidence_into(&signal[1024..3072], &mut scratch)
+            .unwrap();
+        let (reused, computed) = scratch.rows.split_at(3 * 32);
+        assert!(reused.iter().all(|r| r.is_nan()));
+        assert!(computed.iter().all(|r| r.is_finite()));
+    }
+
+    #[test]
+    fn rows_are_not_reused_across_sample_rates() {
+        let fs_low = 11_025.0;
+        let low = SpectralTemplateDetector::new(fs_low).unwrap();
+        let signal = wail_over_noise(fs_low);
+        let mut scratch = DetectorScratch::default();
+        detector_16k()
+            .predict_with_confidence_into(&signal[..2048], &mut scratch)
+            .unwrap();
+        let clip = &signal[1024..3072];
+        assert_eq!(
+            classify_bits(&low, clip, &mut scratch),
+            classify_bits(&low, clip, &mut DetectorScratch::default())
+        );
     }
 
     #[test]

@@ -59,10 +59,13 @@ impl UrbanNoiseSynthesizer {
         if n == 0 {
             return Vec::new();
         }
+        // Corner frequencies are clamped below Nyquist for low sampling rates;
+        // from 10 kHz up none moves.
+        let corner = |hz: f64| hz.min(0.4 * self.fs);
         // Traffic rumble: brown noise low-passed at 300 Hz.
         let mut rumble_lp = Biquad::design(
             BiquadDesign::Lowpass {
-                freq_hz: 300.0,
+                freq_hz: corner(300.0),
                 q: 0.707,
             },
             self.fs,
@@ -75,7 +78,7 @@ impl UrbanNoiseSynthesizer {
         // Broadband tyre/asphalt hiss: pink noise band-passed 500-4000 Hz.
         let mut hiss_hp = Biquad::design(
             BiquadDesign::Highpass {
-                freq_hz: 500.0,
+                freq_hz: corner(500.0),
                 q: 0.707,
             },
             self.fs,
@@ -83,7 +86,7 @@ impl UrbanNoiseSynthesizer {
         .expect("valid filter parameters");
         let mut hiss_lp = Biquad::design(
             BiquadDesign::Lowpass {
-                freq_hz: 4000.0,
+                freq_hz: corner(4000.0),
                 q: 0.707,
             },
             self.fs,
