@@ -211,7 +211,11 @@ impl Manifest {
                         "split_pair_bin",
                         "inverse_real_into",
                         "check_len",
+                        "forward_from",
                         "transform_in_place",
+                        "butterflies",
+                        "butterflies_scalar",
+                        "butterflies_avx2",
                     ],
                 ),
                 entry("crates/dsp/src/stft.rs", &["frame_spectrum_into"]),

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ispot_dsp::fft::Fft;
 use ispot_dsp::generator::{NoiseKind, NoiseSource};
+use ispot_dsp::Complex;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -16,6 +17,30 @@ fn bench_kernels(c: &mut Criterion) {
     let fft = Fft::new(2048);
     group.bench_function("fft_2048_real", |b| {
         b.iter(|| black_box(fft.forward_real(black_box(&signal[..2048])).unwrap()))
+    });
+    // The two per-frame transforms, into reused buffers as the pipeline runs
+    // them: SRP-PHAT's channel-pair FFT and one detection sub-frame spectrum.
+    let mut pair_out = vec![Complex::ZERO; 2048];
+    group.bench_function("fft_2048_pair", |b| {
+        b.iter(|| {
+            fft.forward_real_pair_into(
+                black_box(&signal[..2048]),
+                black_box(&signal[2048..4096]),
+                &mut pair_out,
+            )
+            .unwrap();
+            black_box(pair_out[1])
+        })
+    });
+    let fft_512 = Fft::new(512);
+    let mut real_out = vec![Complex::ZERO; 512];
+    group.bench_function("fft_512_real", |b| {
+        b.iter(|| {
+            fft_512
+                .forward_real_into(black_box(&signal[..512]), &mut real_out)
+                .unwrap();
+            black_box(real_out[1])
+        })
     });
     group.finish();
 }

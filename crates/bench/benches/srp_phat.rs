@@ -37,7 +37,7 @@ fn bench_srp(c: &mut Criterion) {
     // The retained scalar f64 path (full-band rebuild + iFFT per pair) the SIMD
     // pipeline is numerically pinned against.
     group.bench_function("scalar_reference_scratch_reuse", |b| {
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         let mut map = SrpMap::default();
         b.iter(|| {
             fast.compute_map_reference_into(black_box(&frame), &mut scratch, &mut map)

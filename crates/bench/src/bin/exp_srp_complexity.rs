@@ -46,12 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .compute_map_into(&frame, &mut conv_scratch, &mut conv_map)
             .expect("map")
     });
-    let mut fast_scratch = fast.make_scratch();
+    let mut ref_scratch = fast.make_reference_scratch();
     let mut scalar_map = SrpMap::default();
     let scalar_time = time_kernel(warmup, reps, || {
-        fast.compute_map_reference_into(&frame, &mut fast_scratch, &mut scalar_map)
+        fast.compute_map_reference_into(&frame, &mut ref_scratch, &mut scalar_map)
             .expect("map")
     });
+    let mut fast_scratch = fast.make_scratch();
     let mut simd_map = SrpMap::default();
     let simd_time = time_kernel(warmup, reps, || {
         fast.compute_map_into(&frame, &mut fast_scratch, &mut simd_map)

@@ -20,7 +20,11 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert!((c.re - -2.0).abs() < 1e-12);
 /// assert!((c.im - 1.0).abs() < 1e-12);
 /// ```
+///
+/// The layout is `repr(C)`, `re` then `im`, so a slice of `Complex` is an
+/// interleaved `f64` array the SIMD FFT kernel loads directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

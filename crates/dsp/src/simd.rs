@@ -271,6 +271,21 @@ pub fn fma_available() -> bool {
     }
 }
 
+/// Returns true when the host supports `avx2`, the instruction set of the FFT
+/// butterfly kernel, which [`crate::fft::Fft::new`] probes once per plan. That
+/// kernel never fuses, so it does not need `fma`. Always false on non-x86
+/// targets, where the scalar butterflies run.
+pub(crate) fn avx2_available() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

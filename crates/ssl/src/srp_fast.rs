@@ -25,13 +25,15 @@
 //!
 //! 1. **Band spectra** — channels are transformed two at a time through
 //!    [`ispot_dsp::fft::Fft::forward_real_pair_into`] (one complex FFT per channel
-//!    pair) and only the `[kmin, kmax]` band is Hermitian-separated into
+//!    pair) and only the `[kmin, kmax]` band is Hermitian-separated, in one loop
+//!    with [`ispot_dsp::fft::Fft::split_pair_bin`]'s arithmetic, into
 //!    structure-of-arrays `f32` buffers.
 //! 2. **PHAT + folded lag synthesis** — instead of rebuilding a mostly-zero
 //!    full-band spectrum and running a full-length inverse FFT per microphone
 //!    pair, the band-limited correlation is synthesized directly on the
 //!    `±max_lag` grid against precomputed `scale·cos / scale·sin` tables, with
-//!    the `±lag` symmetry folded so only non-negative rows are reduced.
+//!    the `±lag` symmetry folded so only non-negative rows are reduced. The
+//!    AVX2 copy reduces two pairs per pass over the tables.
 //! 3. **Steering** — the windowed-sinc interpolation weights depend only on the
 //!    steering grid, so construction bakes them into a flat sparse operator:
 //!    `K = 2 × half_taps = 8` weights (exactly one 8-lane SIMD register) plus a
@@ -56,15 +58,17 @@
 //! At hop `N/2`, an exact "reuse the previous half-frame's transform" scheme
 //! still costs two `N/2` FFTs plus modulation and recombination per channel,
 //! which butterfly-for-butterfly matches one `N` FFT (`2 · (N/2)·log(N/2) ≈
-//! N·log N − N`) — a wash on cache hits and a regression on misses, and the
-//! windowing applied per frame breaks exact reuse anyway. The redundant per-hop
-//! work eliminated here instead is the full-band spectrum rebuild (58 % zeros
-//! for the default band), the 15 full-length inverse FFTs (→ band-limited
-//! folded synthesis), and the per-channel real FFTs (→ channel pairing).
+//! N·log N − N`) — a wash on cache hits and a regression on misses. The
+//! redundant per-hop work eliminated here instead is the full-band spectrum
+//! rebuild (58 % zeros for the default band), the 15 full-length inverse FFTs
+//! (→ band-limited folded synthesis), and the per-channel real FFTs (→ channel
+//! pairing).
 //!
 //! [`SrpPhatFast::compute_map_into`] performs no heap allocation in steady state
 //! and no buffer growth at all: it requires a scratch pre-sized by
 //! [`SrpPhatFast::make_scratch`] and returns [`SslError::ScratchSize`] otherwise.
+//! That scratch holds only the hot path's buffers; the f64 reference path takes
+//! one from [`SrpPhatFast::make_reference_scratch`].
 
 use crate::error::SslError;
 use crate::srp_kernels as kernels;
@@ -384,25 +388,46 @@ impl SrpPhatFast {
 
     /// Creates a scratch pre-sized for this processor. [`SrpPhatFast::compute_map_into`]
     /// requires it: every buffer is length-checked, never grown, so no allocation or
-    /// resize can reach the per-frame path.
+    /// resize can reach the per-frame path. It holds only the hot path's buffers;
+    /// [`SrpPhatFast::compute_map_reference_into`] needs
+    /// [`SrpPhatFast::make_reference_scratch`].
     pub fn make_scratch(&self) -> SrpScratch {
         let grid = self.inner.grid();
         let (num_pairs, nb) = (grid.num_pairs(), self.inner.num_bins());
         let num_channels = grid.num_channels();
-        let mut scratch = self.inner.make_scratch();
-        scratch.corr = vec![0.0; self.config().frame_len];
-        scratch.lag_tables = vec![0.0; num_pairs * self.padded_len];
-        scratch.ch_re = vec![0.0; num_channels * nb];
-        scratch.ch_im = vec![0.0; num_channels * nb];
-        scratch.phat_re = vec![0.0; nb];
-        scratch.phat_im = vec![0.0; nb];
-        scratch.lag_f32 = vec![0.0; num_pairs * self.padded_len];
+        let mut scratch = SrpScratch {
+            spec: vec![Complex::ZERO; self.config().frame_len],
+            ch_re: vec![0.0; num_channels * nb],
+            ch_im: vec![0.0; num_channels * nb],
+            // Two pairs' spectra: the AVX2 lag synthesis normalizes a pair of
+            // pairs per pass.
+            phat_re: vec![0.0; 2 * nb],
+            phat_im: vec![0.0; 2 * nb],
+            lag_f32: vec![0.0; num_pairs * self.padded_len],
+            ..SrpScratch::default()
+        };
         if self.search.decimation > 1 {
             scratch.coarse.prepare(&self.coarse_azimuths);
             scratch.peaks = Vec::with_capacity(self.search.coarse_peaks);
             scratch.anchored = vec![false; grid.num_directions()];
         }
         scratch
+    }
+
+    /// Creates a scratch sized for both paths: [`SrpPhatFast::make_scratch`]'s
+    /// buffers plus the f64 reference path's per-channel band spectra, cross
+    /// spectra, inverse-FFT workspace and lag tables, so
+    /// [`SrpPhatFast::compute_map_reference_into`] allocates nothing either.
+    pub fn make_reference_scratch(&self) -> SrpScratch {
+        let grid = self.inner.grid();
+        let (num_pairs, nb) = (grid.num_pairs(), self.inner.num_bins());
+        SrpScratch {
+            channel_bins: vec![Complex::ZERO; grid.num_channels() * nb],
+            cross: vec![Complex::ZERO; num_pairs * nb],
+            corr: vec![0.0; self.config().frame_len],
+            lag_tables: vec![0.0; num_pairs * self.padded_len],
+            ..self.make_scratch()
+        }
     }
 
     fn ensure_len(buffer: &'static str, actual: usize, expected: usize) -> Result<(), SslError> {
@@ -438,8 +463,8 @@ impl SrpPhatFast {
         Self::ensure_len("spec", scratch.spec.len(), self.config().frame_len)?;
         Self::ensure_len("ch_re", scratch.ch_re.len(), frame.len() * nb)?;
         Self::ensure_len("ch_im", scratch.ch_im.len(), frame.len() * nb)?;
-        Self::ensure_len("phat_re", scratch.phat_re.len(), nb)?;
-        Self::ensure_len("phat_im", scratch.phat_im.len(), nb)?;
+        Self::ensure_len("phat_re", scratch.phat_re.len(), 2 * nb)?;
+        Self::ensure_len("phat_im", scratch.phat_im.len(), 2 * nb)?;
         Self::ensure_len(
             "lag_f32",
             scratch.lag_f32.len(),
@@ -489,17 +514,28 @@ impl SrpPhatFast {
     /// Hermitian-separates the steering band into the `f32` SoA scratch buffers.
     fn band_spectra_f32(&self, frame: &[&[f64]], scratch: &mut SrpScratch) -> Result<(), SslError> {
         let fft = self.inner.fft();
+        let n = fft.len();
         let (kmin, kmax) = self.inner.bin_range();
         let nb = self.inner.num_bins();
         let mut ch = 0;
         while ch + 1 < frame.len() {
             fft.forward_real_pair_into(frame[ch], frame[ch + 1], &mut scratch.spec)?;
-            for (idx, k) in (kmin..=kmax).enumerate() {
-                let (a, b) = fft.split_pair_bin(&scratch.spec, k);
-                scratch.ch_re[ch * nb + idx] = a.re as f32;
-                scratch.ch_im[ch * nb + idx] = a.im as f32;
-                scratch.ch_re[(ch + 1) * nb + idx] = b.re as f32;
-                scratch.ch_im[(ch + 1) * nb + idx] = b.im as f32;
+            let (re_a, re_b) = scratch.ch_re[ch * nb..(ch + 2) * nb].split_at_mut(nb);
+            let (im_a, im_b) = scratch.ch_im[ch * nb..(ch + 2) * nb].split_at_mut(nb);
+            // `Fft::split_pair_bin`'s arithmetic over the band: `1 <= kmin` and
+            // `kmax <= n/2`, so bin k's mirror is `n - k`, running down from
+            // `n - kmin` as k runs up.
+            let mirrors = scratch.spec[n - kmax..=n - kmin].iter().rev();
+            let bins = scratch.spec[kmin..=kmax].iter().zip(mirrors);
+            for ((((zk, zn), ra), ia), (rb, ib)) in bins
+                .zip(re_a.iter_mut())
+                .zip(im_a.iter_mut())
+                .zip(re_b.iter_mut().zip(im_b.iter_mut()))
+            {
+                *ra = (0.5 * (zk.re + zn.re)) as f32;
+                *ia = (0.5 * (zk.im - zn.im)) as f32;
+                *rb = (0.5 * (zk.im + zn.im)) as f32;
+                *ib = (0.5 * (zn.re - zk.re)) as f32;
             }
             ch += 2;
         }
@@ -846,7 +882,7 @@ mod tests {
     /// Computes the map the way the pre-precompute implementation did: fill the lag
     /// tables, then interpolate each (direction, pair) on the fly.
     fn compute_map_via_reference_interpolation(fast: &SrpPhatFast, frame: &[&[f64]]) -> SrpMap {
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         fast.inner.cross_spectra_into(frame, &mut scratch).unwrap();
         fast.fill_lag_tables(&mut scratch).unwrap();
         let grid = fast.grid();
@@ -897,7 +933,7 @@ mod tests {
         let fast = SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap();
         let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
         let simd = fast.compute_map(&frame).unwrap();
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         let mut reference = SrpMap::default();
         fast.compute_map_reference_into(&frame, &mut scratch, &mut reference)
             .unwrap();
@@ -925,7 +961,7 @@ mod tests {
         let fast = SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap();
         let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
         let simd = fast.compute_map(&frame).unwrap();
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         let mut reference = SrpMap::default();
         fast.compute_map_reference_into(&frame, &mut scratch, &mut reference)
             .unwrap();
@@ -1015,7 +1051,7 @@ mod tests {
         let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
         // The f64 reference path uses the same taps without f32 rounding, so the
         // elementwise pin stays at 1e-9.
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         let mut tap_map = SrpMap::default();
         fast.compute_map_reference_into(&frame, &mut scratch, &mut tap_map)
             .unwrap();
@@ -1044,6 +1080,70 @@ mod tests {
     }
 
     #[test]
+    fn band_split_matches_split_pair_bin_bit_for_bit() {
+        // 5 channels: two paired transforms and the single-channel tail.
+        let fs = 16_000.0;
+        let (channels, array) = simulate_static_source(35.0, 12.0, fs, 8192, 5);
+        let fast = SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap();
+        let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
+        let mut scratch = fast.make_scratch();
+        fast.band_spectra_f32(&frame, &mut scratch).unwrap();
+        let fft = fast.inner.fft();
+        let (kmin, kmax) = fast.inner.bin_range();
+        let nb = fast.inner.num_bins();
+        let mut spec = vec![Complex::ZERO; fft.len()];
+        let bits = |re: f32, im: f32| (re.to_bits(), im.to_bits());
+        for ch in (0..4).step_by(2) {
+            fft.forward_real_pair_into(frame[ch], frame[ch + 1], &mut spec)
+                .unwrap();
+            for (idx, k) in (kmin..=kmax).enumerate() {
+                let (a, b) = fft.split_pair_bin(&spec, k);
+                for (c, z) in [(ch, a), (ch + 1, b)] {
+                    let at = c * nb + idx;
+                    assert_eq!(
+                        bits(scratch.ch_re[at], scratch.ch_im[at]),
+                        bits(z.re as f32, z.im as f32),
+                        "channel {c}, bin {k}"
+                    );
+                }
+            }
+        }
+        fft.forward_real_into(frame[4], &mut spec).unwrap();
+        for (idx, c) in spec[kmin..=kmax].iter().enumerate() {
+            let at = 4 * nb + idx;
+            assert_eq!(
+                bits(scratch.ch_re[at], scratch.ch_im[at]),
+                bits(c.re as f32, c.im as f32),
+                "channel 4, bin {}",
+                kmin + idx
+            );
+        }
+    }
+
+    #[test]
+    fn hot_scratch_leaves_out_the_reference_buffers() {
+        let fs = 16_000.0;
+        let (channels, array) = simulate_static_source(10.0, 20.0, fs, 8192, 6);
+        let fast = SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap();
+        let scratch = fast.make_scratch();
+        assert!(scratch.channel_bins.is_empty() && scratch.cross.is_empty());
+        assert!(scratch.corr.is_empty() && scratch.lag_tables.is_empty());
+        // Both scratches drive the hot path to the same map.
+        let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
+        let mut out = SrpMap::default();
+        fast.compute_map_into(&frame, &mut fast.make_scratch(), &mut out)
+            .unwrap();
+        let mut via_reference = SrpMap::default();
+        fast.compute_map_into(
+            &frame,
+            &mut fast.make_reference_scratch(),
+            &mut via_reference,
+        )
+        .unwrap();
+        assert_eq!(out, via_reference);
+    }
+
+    #[test]
     fn undersized_scratch_is_a_typed_error_not_a_resize() {
         let fs = 16_000.0;
         let (channels, array) = simulate_static_source(10.0, 20.0, fs, 8192, 4);
@@ -1057,7 +1157,7 @@ mod tests {
             Err(SslError::ScratchSize { .. })
         ));
         // ...and by the f64 reference path's lag-table stage.
-        let mut truncated = fast.make_scratch();
+        let mut truncated = fast.make_reference_scratch();
         truncated.corr.pop();
         let err = fast
             .compute_map_reference_into(&frame, &mut truncated, &mut out)
@@ -1105,7 +1205,7 @@ mod tests {
         assert!(corr > 0.9, "map correlation {corr}");
         assert!(angular_error_deg(map_a.peak().unwrap().1, map_b.peak().unwrap().1) <= 4.0);
         // And the SIMD path still agrees with the f64 reference at the band edge.
-        let mut scratch = fast.make_scratch();
+        let mut scratch = fast.make_reference_scratch();
         let mut reference = SrpMap::default();
         fast.compute_map_reference_into(&frame, &mut scratch, &mut reference)
             .unwrap();

@@ -145,9 +145,17 @@ fn steer_portable(op: &SteerOp<'_>, lag_tables: &[f32], d0: usize, step: usize, 
     }
 }
 
-/// Same loop as [`phat_lags_portable`], but the lag-synthesis reduction goes
-/// through the intrinsic [`paired_dot_fma`], which guarantees 256-bit FMA
-/// codegen regardless of inlining context.
+/// [`phat_lags_portable`] with 256-bit FMA reductions, two microphone pairs
+/// per pass over the cosine/sine tables.
+///
+/// Both pairs are PHAT-normalized into `phat_re`/`phat_im` (`2 × nb`). For
+/// each lag row, every 16-bin block of the cosine and sine rows is loaded once
+/// and feeds both pairs' four accumulator chains, which halves the table
+/// traffic that bounds the single-pair loop. Each output keeps exactly the
+/// operation sequence of [`paired_dot_fma`] — the same FMA chains, scalar
+/// tail, `(acc0 + acc2)` lane sum and tail add — so the lag tables are bit for
+/// bit what the per-pair loop writes. An odd last pair runs through
+/// [`paired_dot_fma`] alone.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn phat_lags_avx2(
@@ -158,7 +166,35 @@ fn phat_lags_avx2(
     lag_tables: &mut [f32],
 ) {
     let nb = spectra.nb;
-    for (pair_idx, &(i, j)) in spectra.pairs.iter().enumerate() {
+    let center = op.pad + op.max_lag;
+    let mut blocks = spectra.pairs.chunks_exact(2);
+    for (block_idx, block) in (&mut blocks).enumerate() {
+        for (slot, &(i, j)) in block.iter().enumerate() {
+            phat_norm_pair(
+                &spectra.ch_re[i * nb..(i + 1) * nb],
+                &spectra.ch_im[i * nb..(i + 1) * nb],
+                &spectra.ch_re[j * nb..(j + 1) * nb],
+                &spectra.ch_im[j * nb..(j + 1) * nb],
+                &mut phat_re[slot * nb..(slot + 1) * nb],
+                &mut phat_im[slot * nb..(slot + 1) * nb],
+            );
+        }
+        let (re0, re1) = phat_re[..2 * nb].split_at(nb);
+        let (im0, im1) = phat_im[..2 * nb].split_at(nb);
+        let tables = &mut lag_tables[2 * block_idx * op.padded_len..][..2 * op.padded_len];
+        let (table0, table1) = tables.split_at_mut(op.padded_len);
+        for lag in 0..=op.max_lag {
+            let cos_row = &op.syn_cos[lag * nb..(lag + 1) * nb];
+            let sin_row = &op.syn_sin[lag * nb..(lag + 1) * nb];
+            let [(a0, b0), (a1, b1)] = paired_dot_fma_x2(cos_row, sin_row, [re0, re1], [im0, im1]);
+            table0[center + lag] = a0 - b0;
+            table0[center - lag] = a0 + b0;
+            table1[center + lag] = a1 - b1;
+            table1[center - lag] = a1 + b1;
+        }
+    }
+    if let [(i, j)] = *blocks.remainder() {
+        let pair_idx = spectra.pairs.len() - 1;
         phat_norm_pair(
             &spectra.ch_re[i * nb..(i + 1) * nb],
             &spectra.ch_im[i * nb..(i + 1) * nb],
@@ -168,7 +204,6 @@ fn phat_lags_avx2(
             &mut phat_im[..nb],
         );
         let table = &mut lag_tables[pair_idx * op.padded_len..][..op.padded_len];
-        let center = op.pad + op.max_lag;
         for lag in 0..=op.max_lag {
             let cos_row = &op.syn_cos[lag * nb..(lag + 1) * nb];
             let sin_row = &op.syn_sin[lag * nb..(lag + 1) * nb];
@@ -178,6 +213,75 @@ fn phat_lags_avx2(
             table[center - lag] = a + b;
         }
     }
+}
+
+/// [`paired_dot_fma`] for two spectra against one cosine/sine row pair:
+/// `[(Σ cos·re[p], Σ sin·im[p]) for p in 0..2]`, each result computed with
+/// exactly `paired_dot_fma`'s operations. All slices have the row's length.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn paired_dot_fma_x2(
+    cos_row: &[f32],
+    sin_row: &[f32],
+    re: [&[f32]; 2],
+    im: [&[f32]; 2],
+) -> [(f32, f32); 2] {
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::{
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    let n = cos_row.len();
+    let (sin_row, re0, re1, im0, im1) = (
+        &sin_row[..n],
+        &re[0][..n],
+        &re[1][..n],
+        &im[0][..n],
+        &im[1][..n],
+    );
+    let mut acc: [[__m256; 4]; 2] = [[_mm256_setzero_ps(); 4]; 2];
+    let mut k = 0usize;
+    while k + 16 <= n {
+        // SAFETY: every slice above has length `n` and `k + 16 <= n`, so each
+        // eight-lane load at `k` and `k + 8` stays inside it.
+        unsafe {
+            let cos_lo = _mm256_loadu_ps(cos_row.as_ptr().add(k));
+            let sin_lo = _mm256_loadu_ps(sin_row.as_ptr().add(k));
+            let cos_hi = _mm256_loadu_ps(cos_row.as_ptr().add(k + 8));
+            let sin_hi = _mm256_loadu_ps(sin_row.as_ptr().add(k + 8));
+            for (acc, (re, im)) in acc.iter_mut().zip([(re0, im0), (re1, im1)]) {
+                acc[0] = _mm256_fmadd_ps(cos_lo, _mm256_loadu_ps(re.as_ptr().add(k)), acc[0]);
+                acc[1] = _mm256_fmadd_ps(sin_lo, _mm256_loadu_ps(im.as_ptr().add(k)), acc[1]);
+                acc[2] = _mm256_fmadd_ps(cos_hi, _mm256_loadu_ps(re.as_ptr().add(k + 8)), acc[2]);
+                acc[3] = _mm256_fmadd_ps(sin_hi, _mm256_loadu_ps(im.as_ptr().add(k + 8)), acc[3]);
+            }
+        }
+        k += 16;
+    }
+    let mut out = [(0.0f32, 0.0f32); 2];
+    for ((slot, acc), (re, im)) in out.iter_mut().zip(&acc).zip([(re0, im0), (re1, im1)]) {
+        let mut ta = 0.0f32;
+        let mut tb = 0.0f32;
+        for i in k..n {
+            ta += cos_row[i] * re[i];
+            tb += sin_row[i] * im[i];
+        }
+        let mut lanes_a = [0.0f32; 8];
+        let mut lanes_b = [0.0f32; 8];
+        // SAFETY: the destinations are eight-element arrays.
+        unsafe {
+            _mm256_storeu_ps(lanes_a.as_mut_ptr(), _mm256_add_ps(acc[0], acc[2]));
+            _mm256_storeu_ps(lanes_b.as_mut_ptr(), _mm256_add_ps(acc[1], acc[3]));
+        }
+        *slot = (F32x8(lanes_a).sum() + ta, F32x8(lanes_b).sum() + tb);
+    }
+    out
 }
 
 /// Same loop as [`steer_portable`], with the per-direction tap reduction pinned
@@ -218,7 +322,8 @@ fn steer_avx2(op: &SteerOp<'_>, lag_tables: &[f32], d0: usize, step: usize, out:
 
 /// PHAT normalization + folded lag synthesis for every pair, dispatched to the
 /// fused `avx2`+`fma` copy when `use_fma` (callers cache
-/// [`ispot_dsp::simd::fma_available`]).
+/// [`ispot_dsp::simd::fma_available`]). `phat_re`/`phat_im` hold `2 × nb`
+/// values: the fused copy normalizes two pairs at a time.
 pub(crate) fn phat_lags(
     use_fma: bool,
     spectra: &PairSpectra<'_>,
@@ -312,6 +417,95 @@ mod tests {
             for (di, &got) in strided.iter().enumerate() {
                 let want = steer_reference(&op, &lag_tables, 1 + 2 * di);
                 assert!((got - want).abs() < 1e-4, "di={di}: {got} vs {want}");
+            }
+        }
+    }
+
+    /// The AVX2 lag synthesis before pair blocking — one pair per pass through
+    /// [`paired_dot_fma`] — kept as the bitwise reference for the blocked
+    /// kernel.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn phat_lags_per_pair(
+        spectra: &PairSpectra<'_>,
+        op: &LagSynthOp<'_>,
+        phat_re: &mut [f32],
+        phat_im: &mut [f32],
+        lag_tables: &mut [f32],
+    ) {
+        let nb = spectra.nb;
+        for (pair_idx, &(i, j)) in spectra.pairs.iter().enumerate() {
+            phat_norm_pair(
+                &spectra.ch_re[i * nb..(i + 1) * nb],
+                &spectra.ch_im[i * nb..(i + 1) * nb],
+                &spectra.ch_re[j * nb..(j + 1) * nb],
+                &spectra.ch_im[j * nb..(j + 1) * nb],
+                &mut phat_re[..nb],
+                &mut phat_im[..nb],
+            );
+            let table = &mut lag_tables[pair_idx * op.padded_len..][..op.padded_len];
+            let center = op.pad + op.max_lag;
+            for lag in 0..=op.max_lag {
+                let cos_row = &op.syn_cos[lag * nb..(lag + 1) * nb];
+                let sin_row = &op.syn_sin[lag * nb..(lag + 1) * nb];
+                let (a, b) = paired_dot_fma(cos_row, &phat_re[..nb], sin_row, &phat_im[..nb]);
+                table[center + lag] = a - b;
+                table[center - lag] = a + b;
+            }
+        }
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn blocked_lag_synthesis_matches_the_per_pair_loop_bit_for_bit() {
+        if !ispot_dsp::simd::fma_available() {
+            return;
+        }
+        let channels = 6;
+        let all_pairs: Vec<(usize, usize)> = (0..channels)
+            .flat_map(|i| (i + 1..channels).map(move |j| (i, j)))
+            .collect();
+        let (max_lag, pad) = (6, 4);
+        let padded_len = 2 * max_lag + 1 + 2 * pad;
+        // 16- and 32-bin bands have no scalar tail; the others do.
+        for nb in [16usize, 19, 32, 33, 47, 871] {
+            let wave = |i: usize, f: f32| ((i * 7919 % 4093) as f32 * f).sin() * 3.0;
+            let mut ch_re: Vec<f32> = (0..channels * nb).map(|i| wave(i, 0.37)).collect();
+            let ch_im: Vec<f32> = (0..channels * nb).map(|i| wave(i, 0.11)).collect();
+            // A silent bin takes the PHAT threshold's zero weight.
+            ch_re[3] = 0.0;
+            let syn_cos: Vec<f32> = (0..(max_lag + 1) * nb).map(|i| wave(i, 0.05)).collect();
+            let syn_sin: Vec<f32> = (0..(max_lag + 1) * nb)
+                .map(|i| if i < nb { 0.0 } else { wave(i, 0.07) })
+                .collect();
+            let op = LagSynthOp {
+                syn_cos: &syn_cos,
+                syn_sin: &syn_sin,
+                max_lag,
+                pad,
+                padded_len,
+            };
+            for num_pairs in [1usize, 2, 3, 15] {
+                let spectra = PairSpectra {
+                    ch_re: &ch_re,
+                    ch_im: &ch_im,
+                    nb,
+                    pairs: &all_pairs[..num_pairs],
+                };
+                let mut phat = (vec![0.0f32; 2 * nb], vec![0.0f32; 2 * nb]);
+                let mut blocked = vec![0.0f32; num_pairs * padded_len];
+                phat_lags(true, &spectra, &op, &mut phat.0, &mut phat.1, &mut blocked);
+                let mut per_pair = vec![0.0f32; num_pairs * padded_len];
+                // SAFETY: guarded by `fma_available()` above.
+                unsafe {
+                    phat_lags_per_pair(&spectra, &op, &mut phat.0, &mut phat.1, &mut per_pair)
+                };
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&blocked),
+                    bits(&per_pair),
+                    "nb {nb}, {num_pairs} pairs"
+                );
             }
         }
     }

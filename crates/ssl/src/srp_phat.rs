@@ -343,17 +343,19 @@ pub struct SrpScratch {
     pub(crate) channel_bins: Vec<Complex>,
     /// PHAT-weighted cross-power spectra, pair-major (`num_pairs × num_bins`).
     pub(crate) cross: Vec<Complex>,
-    /// Full-frame real workspace for the inverse transform (f64 lag-domain path).
+    /// Full-frame real workspace for the inverse transform (f64 lag-domain path;
+    /// sized only by `SrpPhatFast::make_reference_scratch`).
     pub(crate) corr: Vec<f64>,
-    /// Zero-padded Nyquist-rate lag tables, pair-major (f64 lag-domain path).
+    /// Zero-padded Nyquist-rate lag tables, pair-major (f64 lag-domain path;
+    /// sized only by `SrpPhatFast::make_reference_scratch`).
     pub(crate) lag_tables: Vec<f64>,
     /// Band-limited per-channel spectra, real parts, channel-major
     /// (`num_channels × num_bins`; f32 SIMD path).
     pub(crate) ch_re: Vec<f32>,
     /// Imaginary parts matching [`SrpScratch::ch_re`].
     pub(crate) ch_im: Vec<f32>,
-    /// PHAT-normalized cross spectrum of the pair currently being synthesized,
-    /// real parts (`num_bins`; f32 SIMD path).
+    /// PHAT-normalized cross spectra of the one or two pairs currently being
+    /// synthesized, real parts (`2 × num_bins`; f32 SIMD path).
     pub(crate) phat_re: Vec<f32>,
     /// Imaginary parts matching [`SrpScratch::phat_re`].
     pub(crate) phat_im: Vec<f32>,

@@ -88,11 +88,11 @@ proptest! {
         let channels = far_field_frame(&array, &config, fs, azimuth_deg, seed);
         let frame: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
 
-        let mut scratch = fast.make_scratch();
         let mut simd_map = SrpMap::default();
         let mut ref_map = SrpMap::default();
-        fast.compute_map_into(&frame, &mut scratch, &mut simd_map).unwrap();
-        fast.compute_map_reference_into(&frame, &mut scratch, &mut ref_map).unwrap();
+        fast.compute_map_into(&frame, &mut fast.make_scratch(), &mut simd_map).unwrap();
+        fast.compute_map_reference_into(&frame, &mut fast.make_reference_scratch(), &mut ref_map)
+            .unwrap();
 
         let simd = simd_map.power();
         let reference = ref_map.power();

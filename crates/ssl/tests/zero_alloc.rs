@@ -106,13 +106,15 @@ fn steady_state_compute_map_into_allocates_nothing() {
         "hierarchical compute_map_into allocated {hier_allocs} times in steady state"
     );
 
-    // The retained f64 reference path shares the scratch and must not allocate
-    // either (its lag tables and correlation buffer are pre-sized too).
-    fast.compute_map_reference_into(&frame, &mut scratch, &mut map)
+    // The retained f64 reference path takes its own scratch, which pre-sizes its
+    // band spectra, cross spectra, lag tables and correlation buffer, and must
+    // not allocate either.
+    let mut ref_scratch = fast.make_reference_scratch();
+    fast.compute_map_reference_into(&frame, &mut ref_scratch, &mut map)
         .unwrap();
     let before = allocation_count();
     for _ in 0..3 {
-        fast.compute_map_reference_into(&frame, &mut scratch, &mut map)
+        fast.compute_map_reference_into(&frame, &mut ref_scratch, &mut map)
             .unwrap();
     }
     let ref_allocs = allocation_count() - before;
