@@ -57,13 +57,12 @@ impl Manifest {
         Manifest {
             hot_paths: vec![
                 // SRP-PHAT fast path: per-frame map computation. Construction
-                // (`new`, `with_search`, `make_scratch`) allocates by design.
+                // (`new`, `make_scratch`) allocates by design.
                 entry(
                     "crates/ssl/src/srp_fast.rs",
                     &[
                         "compute_map_into",
                         "band_spectra_f32",
-                        "steer_hierarchical",
                         "compute_map_reference_into",
                         "fill_lag_tables",
                         "ensure_len",

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ispot_bench::{simulate_static_source, SAMPLE_RATE};
-use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
+use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{SrpConfig, SrpMap, SrpPhat};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,20 +41,6 @@ fn bench_srp(c: &mut Criterion) {
         let mut map = SrpMap::default();
         b.iter(|| {
             fast.compute_map_reference_into(black_box(&frame), &mut scratch, &mut map)
-                .unwrap();
-            black_box(map.power()[0])
-        })
-    });
-    // Coarse-to-fine: decimated steering pass, NMS on the coarse map, exact
-    // refinement only around the surviving peaks.
-    group.bench_function("hierarchical_scratch_reuse", |b| {
-        let hier =
-            SrpPhatFast::with_search(config, SrpSearchConfig::hierarchical(), &array, SAMPLE_RATE)
-                .unwrap();
-        let mut scratch = hier.make_scratch();
-        let mut map = SrpMap::default();
-        b.iter(|| {
-            hier.compute_map_into(black_box(&frame), &mut scratch, &mut map)
                 .unwrap();
             black_box(map.power()[0])
         })

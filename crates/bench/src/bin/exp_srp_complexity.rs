@@ -3,10 +3,10 @@
 //! Paper claim (Sec. IV-B): the hardware-driven analysis and the low-complexity SRP
 //! literature inspire "a mathematically equivalent SRP-PHAT algorithm with ~10x latency
 //! boost and ~50% coefficients reduce". This binary measures the conventional
-//! frequency-domain steering and the three lag-domain variants (scalar `f64`
-//! reference, `f32` SIMD, `f32` SIMD + hierarchical coarse-to-fine search) on
-//! identical simulated frames and reports latency, speedup, coefficient counts
-//! and the numerical equivalence of the produced maps.
+//! frequency-domain steering and the two lag-domain variants (scalar `f64`
+//! reference and `f32` SIMD) on identical simulated frames and reports
+//! latency, speedup, coefficient counts and the numerical equivalence of the
+//! produced maps.
 //!
 //! Flags:
 //!
@@ -18,7 +18,7 @@
 use ispot_bench::{
     print_header, print_row, simulate_static_source, time_kernel, KernelTime, SAMPLE_RATE,
 };
-use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
+use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{SrpConfig, SrpMap, SrpPhat};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,9 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SrpConfig::default();
     let conventional = SrpPhat::new(config, &array, SAMPLE_RATE).expect("conventional SRP");
     let fast = SrpPhatFast::new(config, &array, SAMPLE_RATE).expect("fast SRP");
-    let hierarchical =
-        SrpPhatFast::with_search(config, SrpSearchConfig::hierarchical(), &array, SAMPLE_RATE)
-            .expect("hierarchical SRP");
     let frame: Vec<&[f64]> = audio.channels().iter().map(|c| &c[4096..6144]).collect();
 
     let (warmup, reps) = if smoke { (1, 3) } else { (5, 50) };
@@ -58,13 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fast.compute_map_into(&frame, &mut fast_scratch, &mut simd_map)
             .expect("map")
     });
-    let mut hier_scratch = hierarchical.make_scratch();
-    let mut hier_map = SrpMap::default();
-    let hier_time = time_kernel(warmup, reps, || {
-        hierarchical
-            .compute_map_into(&frame, &mut hier_scratch, &mut hier_map)
-            .expect("map")
-    });
 
     print_row(
         "microphones / pairs",
@@ -79,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("conventional", &conv_time),
         ("scalar_fast", &scalar_time),
         ("simd_fast", &simd_time),
-        ("hierarchical", &hier_time),
     ];
     for (name, time) in variants {
         print_row(
@@ -106,16 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "map correlation conv vs simd (equivalence)",
         format!("{:.4}", conv_map.correlation(&simd_map)),
     );
-    print_row(
-        "map correlation conv vs hierarchical",
-        format!("{:.4}", conv_map.correlation(&hier_map)),
-    );
     let az_conv = conv_map.peak().expect("non-empty map").1;
     let az_simd = simd_map.peak().expect("non-empty map").1;
-    let az_hier = hier_map.peak().expect("non-empty map").1;
     print_row(
-        "peak azimuth conventional / simd / hierarchical (deg)",
-        format!("{az_conv:.1} / {az_simd:.1} / {az_hier:.1}"),
+        "peak azimuth conventional / simd (deg)",
+        format!("{az_conv:.1} / {az_simd:.1}"),
     );
 
     if json {
@@ -129,11 +113,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 speedup(t)
             )
         };
-        let [conv, scalar, simd, hier] = variants.map(entry);
-        let body = format!("[\n{conv},\n{scalar},\n{simd},\n{hier}\n]\n");
+        let [conv, scalar, simd] = variants.map(entry);
+        let body = format!("[\n{conv},\n{scalar},\n{simd}\n]\n");
         let path = "BENCH_srp.json";
         std::fs::write(path, body)?;
-        println!("\nwrote {path} (4 variants)");
+        println!("\nwrote {path} (3 variants)");
     }
     Ok(())
 }

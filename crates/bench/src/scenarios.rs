@@ -693,8 +693,7 @@ pub fn evaluate_scene(
         .array(array)
         .frame_len(FRAME_LEN)
         .hop(HOP)
-        .mode(mode)
-        .search(SrpSearchConfig::hierarchical());
+        .mode(mode);
     if let Some(threshold) = options.confidence_threshold {
         builder = builder.confidence_threshold(threshold);
     }

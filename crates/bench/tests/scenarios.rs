@@ -106,15 +106,13 @@ fn smoke_scene_runs_end_to_end() {
     assert!(report.num_events > 0, "no events in the smoke scene");
 }
 
-/// Perf pin: the full per-frame pipeline (SED + f32 SIMD SRP with hierarchical
-/// search + tracking) must stay comfortably real-time. Over 14 release runs on
-/// a 2-vCPU shared VM the mean per-frame latency had a median of 0.28 ms and a
-/// worst run of 0.63 ms (CPU steal); before detection reused the sub-frames
-/// consecutive frames share it was 0.43 ms and 0.49 ms. The bound leaves room
-/// for a noisy runner while still catching a regression towards the
-/// ~1.3 ms/frame the pre-SIMD exhaustive pipeline cost. Release builds only —
-/// debug codegen is an order of magnitude slower and says nothing about the
-/// shipped kernels.
+/// Perf pin: the full per-frame pipeline (SED + f32 SIMD SRP steering every
+/// grid direction + tracking) must stay comfortably real-time. Over 14 release
+/// runs on a 2-vCPU shared VM the mean per-frame latency had a median of
+/// 0.165 ms and a worst run of 0.25 ms. The bound leaves room for a noisy
+/// runner while still catching a regression towards the ~1.3 ms/frame the
+/// pre-SIMD pipeline cost. Release builds only — debug codegen is an order of
+/// magnitude slower and says nothing about the shipped kernels.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "perf pin is only meaningful in release")]
 fn pass_by_frame_latency_stays_under_budget() {

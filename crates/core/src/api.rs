@@ -99,7 +99,7 @@ use ispot_obs::{StageObserver, TickSource};
 use ispot_sed::baseline::SpectralTemplateDetector;
 use ispot_sed::EventClass;
 use ispot_ssl::multitrack::TrackingConfig;
-use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
+use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::SrpConfig;
 use std::sync::Arc;
 
@@ -226,43 +226,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets the SRP search strategy: exhaustive (the default) steers every grid
-    /// direction; a hierarchical configuration steers a decimated coarse grid
-    /// first and refines only around its top peaks — a large constant-factor
-    /// saving on the per-frame map at identical peak locations in practice.
-    ///
-    /// Validated at build time against `num_directions` like every other
-    /// parameter.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ispot_core::prelude::*;
-    /// use ispot_dsp::{geometry::Position, microphone::MicrophoneArray};
-    ///
-    /// # fn main() -> Result<(), PipelineError> {
-    /// let array = MicrophoneArray::circular(6, 0.2, Position::new(0.0, 0.0, 1.0));
-    /// let engine = PipelineBuilder::new(16_000.0)
-    ///     .array(&array)
-    ///     .search(SrpSearchConfig::hierarchical())
-    ///     .build_engine()?;
-    /// assert!(engine.localization_available());
-    ///
-    /// // Degenerate search settings are rejected up front, never at frame time:
-    /// // decimating a 181-direction grid by 64 leaves fewer than 8 coarse cells.
-    /// let err = PipelineBuilder::new(16_000.0)
-    ///     .array(&array)
-    ///     .search(SrpSearchConfig { decimation: 64, ..SrpSearchConfig::hierarchical() })
-    ///     .build_engine();
-    /// assert!(matches!(err, Err(PipelineError::InvalidConfig { .. })));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn search(mut self, search: SrpSearchConfig) -> Self {
-        self.config.search = search;
-        self
-    }
-
     /// Uses a bare channel count: detection only, localization disabled.
     pub fn channels(mut self, num_channels: usize) -> Self {
         self.channels = ChannelSpec::Count(num_channels);
@@ -314,9 +277,8 @@ impl PipelineBuilder {
                     freq_max_hz: (self.sample_rate / 2.0 - 200.0).max(1000.0),
                     ..SrpConfig::default()
                 };
-                Some(Arc::new(SrpPhatFast::with_search(
+                Some(Arc::new(SrpPhatFast::new(
                     srp_config,
-                    self.config.search,
                     array,
                     self.sample_rate,
                 )?))
@@ -970,35 +932,6 @@ mod tests {
                     ..Default::default()
                 }),
             ),
-            (
-                "search decimation zero",
-                PipelineBuilder::new(16_000.0).search(SrpSearchConfig {
-                    decimation: 0,
-                    ..SrpSearchConfig::hierarchical()
-                }),
-            ),
-            (
-                "search coarse grid too small",
-                PipelineBuilder::new(16_000.0).search(SrpSearchConfig {
-                    decimation: 64,
-                    ..SrpSearchConfig::hierarchical()
-                }),
-            ),
-            (
-                "search no coarse peaks",
-                PipelineBuilder::new(16_000.0).search(SrpSearchConfig {
-                    coarse_peaks: 0,
-                    ..SrpSearchConfig::hierarchical()
-                }),
-            ),
-            (
-                "search radius below decimation",
-                PipelineBuilder::new(16_000.0).search(SrpSearchConfig {
-                    decimation: 4,
-                    refine_radius: 3,
-                    ..SrpSearchConfig::hierarchical()
-                }),
-            ),
         ];
         for (what, builder) in cases {
             assert!(
@@ -1067,60 +1000,6 @@ mod tests {
         let mut sink_b = VecSink::new();
         b.push_chunk_with(&chunk, &mut sink_b).unwrap();
         assert_eq!(sink.events(), sink_b.events());
-    }
-
-    #[test]
-    fn hierarchical_search_reports_the_same_alerts_as_exhaustive() {
-        use ispot_roadsim::engine::Simulator;
-        use ispot_roadsim::scene::SceneBuilder;
-        use ispot_roadsim::source::SoundSource;
-        use ispot_roadsim::trajectory::Trajectory;
-
-        let fs = 16_000.0;
-        let array = MicrophoneArray::circular(6, 0.2, Position::new(0.0, 0.0, 1.0));
-        let siren = SirenSynthesizer::new(SirenKind::Wail, fs).synthesize(1.0);
-        let az = 60.0f64.to_radians();
-        let scene = SceneBuilder::new(fs)
-            .source(SoundSource::new(
-                siren,
-                Trajectory::fixed(Position::new(20.0 * az.cos(), 20.0 * az.sin(), 1.0)),
-            ))
-            .array(array.clone())
-            .reflection(false)
-            .air_absorption(false)
-            .build()
-            .unwrap();
-        let audio = Simulator::new(scene).unwrap().run().unwrap();
-
-        let run = |search: ispot_ssl::srp_fast::SrpSearchConfig| {
-            let mut session = PipelineBuilder::new(fs)
-                .array(&array)
-                .search(search)
-                .build()
-                .unwrap();
-            let mut sink = VecSink::new();
-            session.process_recording_with(&audio, &mut sink).unwrap();
-            sink
-        };
-        let exhaustive = run(SrpSearchConfig::exhaustive());
-        let hierarchical = run(SrpSearchConfig::hierarchical());
-        assert!(!exhaustive.events().is_empty());
-        // Identical detections; azimuths from both search strategies stay within
-        // one coarse cell of each other (the map peak itself is refined exactly).
-        assert_eq!(exhaustive.events().len(), hierarchical.events().len());
-        let cell_deg = 360.0 / 181.0 * 4.0;
-        for (a, b) in exhaustive.events().iter().zip(hierarchical.events()) {
-            assert_eq!(a.frame_index, b.frame_index);
-            assert_eq!(a.class, b.class);
-            match (a.azimuth_deg, b.azimuth_deg) {
-                (Some(az_a), Some(az_b)) => {
-                    let err = ispot_ssl::metrics::angular_error_deg(az_a, az_b);
-                    assert!(err <= cell_deg + 1e-9, "{az_a} vs {az_b}");
-                }
-                (None, None) => {}
-                other => panic!("localization availability diverged: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -91,5 +91,4 @@ pub mod prelude {
     pub use crate::trigger::{EnergyTrigger, TriggerConfig};
     pub use ispot_obs::{Span, SpanRing, StageId, StageObserver, TickSource};
     pub use ispot_ssl::multitrack::{TrackId, TrackSnapshot, TrackStatus, TrackingConfig};
-    pub use ispot_ssl::srp_fast::SrpSearchConfig;
 }

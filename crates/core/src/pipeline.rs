@@ -48,8 +48,8 @@ pub struct PipelineConfig {
     /// Multi-target tracking configuration (peak budget, association gate,
     /// confirmation and coasting counts).
     pub tracking: TrackingConfig,
-    /// SRP search strategy: exhaustive (default) or coarse-to-fine hierarchical
-    /// (see [`SrpSearchConfig`]).
+    /// Carries nothing: every localizer steers the whole grid. The field
+    /// remains only for `perfbench/src/replay.rs` (see [`SrpSearchConfig`]).
     pub search: SrpSearchConfig,
 }
 
@@ -63,7 +63,7 @@ impl Default for PipelineConfig {
             confidence_threshold: 0.2,
             trigger: TriggerConfig::default(),
             tracking: TrackingConfig::default(),
-            search: SrpSearchConfig::exhaustive(),
+            search: SrpSearchConfig,
         }
     }
 }
@@ -89,10 +89,7 @@ impl PipelineConfig {
     ///   `floor_smoothing` must lie strictly inside `(0, 1)`;
     /// * every tracking parameter must pass
     ///   [`TrackingConfig::validate`] (positive counts within their caps, gate
-    ///   and salience thresholds in range);
-    /// * the SRP search parameters must pass [`SrpSearchConfig::validate`]
-    ///   against `num_directions` (a decimated grid must keep at least eight
-    ///   coarse cells, and the refinement radius must cover one coarse step).
+    ///   and salience thresholds in range).
     pub fn validate(&self) -> Result<(), PipelineError> {
         if self.frame_len == 0 {
             return Err(PipelineError::invalid_config(
@@ -141,14 +138,6 @@ impl PipelineConfig {
             }
             other => PipelineError::Localization(other),
         })?;
-        self.search
-            .validate(self.num_directions)
-            .map_err(|e| match e {
-                SslError::InvalidConfig { name, reason } => {
-                    PipelineError::InvalidConfig { name, reason }
-                }
-                other => PipelineError::Localization(other),
-            })?;
         Ok(())
     }
 }

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::multitrack::{
         MultiTargetTracker, TrackId, TrackSnapshot, TrackStatus, TrackingConfig,
     };
-    pub use crate::srp_fast::{SrpPhatFast, SrpSearchConfig};
+    pub use crate::srp_fast::SrpPhatFast;
     pub use crate::srp_phat::{DoaEstimate, Peak, SrpConfig, SrpMap, SrpPhat, SrpScratch};
     pub use crate::steering::SteeringGrid;
     pub use crate::tracking::AzimuthKalmanTracker;

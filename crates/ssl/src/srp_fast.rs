@@ -40,19 +40,6 @@
 //!    start offset into the pair's zero-padded lag table, stored
 //!    direction-major so the inner `pairs × K` reduction is sequential loads.
 //!
-//! With a [`SrpSearchConfig`] decimation above 1, steering runs **coarse-to-fine**:
-//! a decimated pass scores every `decimation`-th direction, then exact
-//! full-resolution windows are steered around the top `coarse_peaks` coarse
-//! maxima (`±refine_radius` cells) *and* around the lowest coarse samples (the
-//! map floor feeds peak-salience normalization downstream). Every exactly
-//! steered cell — coarse sample or refined window — is an *anchor*; the
-//! remaining cells are filled last by wrap-aware linear interpolation between
-//! neighbouring anchors, so the map is continuous at window edges (a step there
-//! would read as a phantom peak to non-maximum suppression) and downstream
-//! smoothing and multi-target tracking always see a full-resolution map.
-//! Already-anchored cells are never re-steered, bounding the exact steering
-//! work by the grid size regardless of how many windows overlap.
-//!
 //! ## Why there is no incremental FFT cache for 50 % hop overlap
 //!
 //! At hop `N/2`, an exact "reuse the previous half-frame's transform" scheme
@@ -85,127 +72,12 @@ const INTERP_HALF_TAPS: usize = 4;
 // The steering kernel loads one tap window as a single 8-lane register.
 const _: () = assert!(2 * INTERP_HALF_TAPS == kernels::K_TAPS);
 
-/// Exact-refinement windows the hierarchical search spends on the lowest coarse
-/// samples (in addition to the coarse-peak windows), to recover the map floor
-/// that peak-salience normalization depends on.
-const MIN_REFINE_WINDOWS: usize = 5;
-
-/// Azimuth-search strategy for [`SrpPhatFast`]: exhaustive full-grid steering, or
-/// coarse-to-fine hierarchical search.
-///
-/// The default ([`SrpSearchConfig::exhaustive`]) scores every grid direction and
-/// is the reference the hierarchical mode is validated against. With
-/// `decimation > 1`, only every `decimation`-th direction is scored, the top
-/// `coarse_peaks` coarse local maxima (plus the lowest coarse samples, which
-/// pin the map floor that salience normalization depends on) are re-scored at
-/// full resolution within `refine_radius` grid cells, and the remaining cells
-/// are filled by wrap-aware linear interpolation between the exactly steered
-/// cells — the output map keeps the full grid shape and stays continuous at
-/// refinement-window edges either way.
-///
-/// # Example
-///
-/// ```
-/// use ispot_ssl::srp_fast::SrpSearchConfig;
-///
-/// let exhaustive = SrpSearchConfig::default();
-/// assert_eq!(exhaustive.decimation, 1);
-/// let fast = SrpSearchConfig::hierarchical();
-/// assert!(fast.decimation > 1 && fast.refine_radius >= fast.decimation);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrpSearchConfig {
-    /// Coarse-grid decimation factor; `1` disables the hierarchy (exhaustive
-    /// search).
-    pub decimation: usize,
-    /// Number of coarse peaks whose neighbourhoods are refined at full
-    /// resolution.
-    pub coarse_peaks: usize,
-    /// Refinement radius in full-resolution grid cells around each surviving
-    /// coarse peak; must be at least `decimation` so the true maximum between
-    /// two coarse samples cannot escape the refined window.
-    pub refine_radius: usize,
-}
-
-impl Default for SrpSearchConfig {
-    fn default() -> Self {
-        SrpSearchConfig {
-            decimation: 1,
-            coarse_peaks: 4,
-            refine_radius: 8,
-        }
-    }
-}
-
-impl SrpSearchConfig {
-    /// Exhaustive full-grid search (the default).
-    pub fn exhaustive() -> Self {
-        SrpSearchConfig::default()
-    }
-
-    /// The standard coarse-to-fine configuration: every 4th direction scored,
-    /// top-8 coarse peaks refined within ±6 cells. A generous peak budget is
-    /// deliberate — refinement windows are cheap (the per-frame synthesis GEMM
-    /// dominates), and downstream trackers rank peaks by salience against the
-    /// map's dynamic range, so every candidate a tracker might select must carry
-    /// its exact score. On the 181-cell default grid this configuration
-    /// reproduces the exhaustive tracker decisions on the multi-target
-    /// acceptance scenes.
-    pub fn hierarchical() -> Self {
-        SrpSearchConfig {
-            decimation: 4,
-            coarse_peaks: 8,
-            refine_radius: 6,
-        }
-    }
-
-    /// Checks the search parameters against a grid of `num_directions` cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::InvalidConfig`] naming the offending field when the
-    /// decimation is zero, leaves fewer than eight coarse directions, no coarse
-    /// peaks would be refined, or the refinement radius is smaller than the
-    /// decimation (the true maximum between two coarse samples could escape the
-    /// refined window). `decimation == 1` (exhaustive) accepts the remaining
-    /// fields unchecked because they are unused.
-    pub fn validate(&self, num_directions: usize) -> Result<(), SslError> {
-        if self.decimation == 0 {
-            return Err(SslError::invalid_config(
-                "search.decimation",
-                "must be positive (1 = exhaustive)",
-            ));
-        }
-        if self.decimation == 1 {
-            return Ok(());
-        }
-        if num_directions / self.decimation < 8 {
-            return Err(SslError::invalid_config(
-                "search.decimation",
-                format!(
-                    "leaves fewer than 8 coarse directions ({} / {})",
-                    num_directions, self.decimation
-                ),
-            ));
-        }
-        if self.coarse_peaks == 0 {
-            return Err(SslError::invalid_config(
-                "search.coarse_peaks",
-                "must be positive when decimation > 1",
-            ));
-        }
-        if self.refine_radius < self.decimation {
-            return Err(SslError::invalid_config(
-                "search.refine_radius",
-                format!(
-                    "must be at least the decimation factor ({} < {})",
-                    self.refine_radius, self.decimation
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
+/// The SRP search strategy, which has one value: every [`SrpPhatFast`] steers
+/// the whole grid, so there is nothing to set or validate. The type remains
+/// only for `perfbench/src/replay.rs`, which passes it to
+/// [`SrpPhatFast::with_search`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SrpSearchConfig;
 
 /// The low-complexity SRP-PHAT processor.
 ///
@@ -235,19 +107,14 @@ pub struct SrpPhatFast {
     /// `(max_lag + 1) × num_bins`, computed in `f64` and stored as `f32`.
     syn_cos: Vec<f32>,
     syn_sin: Vec<f32>,
-    /// Azimuth-search strategy.
-    search: SrpSearchConfig,
-    /// Grid indices of the decimated coarse pass (empty when exhaustive).
-    coarse_dirs: Vec<u32>,
-    /// Azimuths of the coarse grid (empty when exhaustive).
-    coarse_azimuths: Vec<f64>,
     /// Cached [`fma_available`] so the per-frame path never re-probes cpuid.
     use_fma: bool,
 }
 
 impl SrpPhatFast {
-    /// Creates a processor with exhaustive search. See
-    /// [`SrpPhatFast::with_search`].
+    /// Creates a processor for the given array and sampling rate, precomputing
+    /// the per-(direction, pair) interpolation taps and the lag-synthesis
+    /// tables.
     ///
     /// # Errors
     ///
@@ -257,26 +124,7 @@ impl SrpPhatFast {
         array: &MicrophoneArray,
         sample_rate: f64,
     ) -> Result<Self, SslError> {
-        SrpPhatFast::with_search(config, SrpSearchConfig::default(), array, sample_rate)
-    }
-
-    /// Creates a processor for the given array, sampling rate and search
-    /// strategy, precomputing the per-(direction, pair) interpolation taps and
-    /// the lag-synthesis tables.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SrpPhat::new`], plus an invalid `search`
-    /// configuration (zero decimation, a coarse grid below 8 directions, zero
-    /// `coarse_peaks`, or `refine_radius < decimation`).
-    pub fn with_search(
-        config: SrpConfig,
-        search: SrpSearchConfig,
-        array: &MicrophoneArray,
-        sample_rate: f64,
-    ) -> Result<Self, SslError> {
         let inner = SrpPhat::new(config, array, sample_rate)?;
-        search.validate(inner.grid().num_directions())?;
         let max_lag = inner.grid().max_tdoa_samples().ceil() as usize + 2;
         let interp_half_taps = INTERP_HALF_TAPS;
         let table_len = 2 * max_lag + 1;
@@ -324,19 +172,6 @@ impl SrpPhatFast {
                 syn_sin[lag * nb + idx] = (scale * theta.sin()) as f32;
             }
         }
-        let (coarse_dirs, coarse_azimuths) = if search.decimation > 1 {
-            let dirs: Vec<u32> = (0..num_dirs)
-                .step_by(search.decimation)
-                .map(|d| d as u32)
-                .collect();
-            let az: Vec<f64> = dirs
-                .iter()
-                .map(|&d| grid.azimuths_deg()[d as usize])
-                .collect();
-            (dirs, az)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Ok(SrpPhatFast {
             inner,
             max_lag,
@@ -347,21 +182,28 @@ impl SrpPhatFast {
             tap_starts,
             syn_cos,
             syn_sin,
-            search,
-            coarse_dirs,
-            coarse_azimuths,
             use_fma: fma_available(),
         })
+    }
+
+    /// [`SrpPhatFast::new`]; the search argument carries nothing. It remains
+    /// only because the benchmark's `perfbench/src/replay.rs` calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SrpPhatFast::new`].
+    pub fn with_search(
+        config: SrpConfig,
+        _: SrpSearchConfig,
+        array: &MicrophoneArray,
+        sample_rate: f64,
+    ) -> Result<Self, SslError> {
+        SrpPhatFast::new(config, array, sample_rate)
     }
 
     /// Returns the configuration.
     pub fn config(&self) -> SrpConfig {
         self.inner.config()
-    }
-
-    /// Returns the azimuth-search strategy.
-    pub fn search(&self) -> SrpSearchConfig {
-        self.search
     }
 
     /// Returns the steering grid.
@@ -395,7 +237,7 @@ impl SrpPhatFast {
         let grid = self.inner.grid();
         let (num_pairs, nb) = (grid.num_pairs(), self.inner.num_bins());
         let num_channels = grid.num_channels();
-        let mut scratch = SrpScratch {
+        SrpScratch {
             spec: vec![Complex::ZERO; self.config().frame_len],
             ch_re: vec![0.0; num_channels * nb],
             ch_im: vec![0.0; num_channels * nb],
@@ -405,13 +247,7 @@ impl SrpPhatFast {
             phat_im: vec![0.0; 2 * nb],
             lag_f32: vec![0.0; num_pairs * self.padded_len],
             ..SrpScratch::default()
-        };
-        if self.search.decimation > 1 {
-            scratch.coarse.prepare(&self.coarse_azimuths);
-            scratch.peaks = Vec::with_capacity(self.search.coarse_peaks);
-            scratch.anchored = vec![false; grid.num_directions()];
         }
-        scratch
     }
 
     /// Creates a scratch sized for both paths: [`SrpPhatFast::make_scratch`]'s
@@ -442,8 +278,7 @@ impl SrpPhatFast {
     }
 
     /// Computes the SRP map for one multichannel frame through the `f32` SIMD
-    /// pipeline (and hierarchical search when configured), writing the result
-    /// into `out` without allocating.
+    /// pipeline, writing the result into `out` without allocating.
     ///
     /// # Errors
     ///
@@ -501,12 +336,8 @@ impl SrpPhatFast {
             num_pairs,
             padded_len: self.padded_len,
         };
-        if self.search.decimation <= 1 {
-            let power = out.prepare(grid.azimuths_deg());
-            kernels::steer(self.use_fma, &steer_op, &scratch.lag_f32, 0, 1, power);
-        } else {
-            self.steer_hierarchical(&steer_op, scratch, out);
-        }
+        let power = out.prepare(grid.azimuths_deg());
+        kernels::steer(self.use_fma, &steer_op, &scratch.lag_f32, power);
         Ok(())
     }
 
@@ -548,145 +379,6 @@ impl SrpPhatFast {
             }
         }
         Ok(())
-    }
-
-    /// Coarse-to-fine steering: decimated pass, coarse-peak NMS, full-resolution
-    /// refinement around survivors, linear interpolation elsewhere.
-    fn steer_hierarchical(
-        &self,
-        op: &kernels::SteerOp<'_>,
-        scratch: &mut SrpScratch,
-        out: &mut SrpMap,
-    ) {
-        let grid = self.inner.grid();
-        let n = grid.num_directions();
-        let nc = self.coarse_dirs.len();
-        {
-            let cpow = scratch.coarse.prepare(&self.coarse_azimuths);
-            kernels::steer(
-                self.use_fma,
-                op,
-                &scratch.lag_f32,
-                0,
-                self.search.decimation,
-                cpow,
-            );
-        }
-        scratch
-            .coarse
-            .peaks_into(self.search.coarse_peaks, 0.0, &mut scratch.peaks);
-        let power = out.prepare(grid.azimuths_deg());
-        let radius = self.search.refine_radius;
-        if 2 * radius + 1 >= n {
-            // The refinement window already covers the whole grid.
-            kernels::steer(self.use_fma, op, &scratch.lag_f32, 0, 1, power);
-            return;
-        }
-        // The map is assembled in three steps: (1) drop the coarse samples and
-        // the exact refinement windows into place, marking every such cell as an
-        // *anchor*; (2) linearly interpolate each unanchored run between its two
-        // anchored neighbours (wrap-aware). Interpolating after refinement keeps
-        // the map continuous at refinement-window edges — pasting exact windows
-        // over a pre-built fill leaves step discontinuities there, and each
-        // upward step is a phantom local maximum. That matters downstream, where
-        // a bounded number of NMS peaks feed the tracker and a phantom bump can
-        // crowd a real secondary source out of the peak budget. Interpolation
-        // between anchors cannot create an interior local maximum, so no
-        // spurious peak can appear in an unrefined region.
-        scratch.anchored.resize(n, false);
-        scratch.anchored.fill(false);
-        let (anchored, lag_f32) = (&mut scratch.anchored, &scratch.lag_f32);
-        let cpow = scratch.coarse.power();
-        for (&dir, &cp) in self.coarse_dirs.iter().zip(cpow) {
-            power[dir as usize] = cp;
-            anchored[dir as usize] = true;
-        }
-        // Refine the surviving neighbourhoods with exact full-resolution scores.
-        // Cells already anchored — coarse samples (their decimated steer IS the
-        // exact score) and overlap with earlier windows — are skipped, so the
-        // total exact steering work is bounded by the grid size no matter how
-        // many windows are requested. The block scopes the closure's mutable
-        // borrow of the anchor mask; the fill pass below reads it again.
-        {
-            let mut refine = |center: usize| {
-                let count = 2 * radius + 1;
-                let lo = (center + n - radius) % n;
-                let mut off = 0;
-                while off < count {
-                    let idx = (lo + off) % n;
-                    if anchored[idx] {
-                        off += 1;
-                        continue;
-                    }
-                    let mut len = 1;
-                    while off + len < count && idx + len < n && !anchored[idx + len] {
-                        len += 1;
-                    }
-                    kernels::steer(
-                        self.use_fma,
-                        op,
-                        lag_f32,
-                        idx,
-                        1,
-                        &mut power[idx..idx + len],
-                    );
-                    anchored[idx..idx + len].fill(true);
-                    off += len;
-                }
-            };
-            for pk in &scratch.peaks {
-                refine(self.coarse_dirs[pk.index] as usize);
-            }
-            // Also refine around the lowest coarse samples: downstream consumers
-            // normalize peak salience to the map's dynamic range, and the seeded
-            // floor is systematically high — the deep sidelobe nulls of an SRP map
-            // are only a few cells wide, so they fall between coarse samples and no
-            // interpolation through the coarse grid can reconstruct them. That
-            // deflates every secondary peak's salience relative to the exhaustive
-            // map. Re-steering a few windows around the lowest (non-adjacent)
-            // coarse samples recovers the floor almost exactly at the cost of a
-            // small, fixed amount of extra exact work.
-            let mut mins: [usize; MIN_REFINE_WINDOWS] = [usize::MAX; MIN_REFINE_WINDOWS];
-            for slot in 0..MIN_REFINE_WINDOWS.min(nc) {
-                let mut best: Option<usize> = None;
-                'candidates: for ci in 0..nc {
-                    for &chosen in &mins[..slot] {
-                        let d = (ci + nc - chosen) % nc;
-                        if d.min(nc - d) <= 1 {
-                            continue 'candidates;
-                        }
-                    }
-                    best = match best {
-                        Some(b) if cpow[b].total_cmp(&cpow[ci]).is_le() => Some(b),
-                        _ => Some(ci),
-                    };
-                }
-                let Some(ci) = best else { break };
-                mins[slot] = ci;
-                refine(self.coarse_dirs[ci] as usize);
-            }
-        }
-        // Fill: walk the circle anchor to anchor, interpolating each unanchored
-        // run between the exact values at its two ends. Every coarse sample is
-        // an anchor, so the walk always terminates and each gap is short.
-        let start = self.coarse_dirs[0] as usize;
-        let mut a = start;
-        loop {
-            let mut b = (a + 1) % n;
-            let mut gap = 1usize;
-            while !anchored[b] {
-                b = (b + 1) % n;
-                gap += 1;
-            }
-            let (p0, p1) = (power[a], power[b]);
-            for s in 1..gap {
-                power[(a + s) % n] = p0 + (p1 - p0) * s as f64 / gap as f64;
-            }
-            a = b;
-            if a == start {
-                break;
-            }
-        }
     }
 
     /// Computes the SRP map through the retained scalar `f64` path — full-band
@@ -792,7 +484,7 @@ impl SrpPhatFast {
     /// Same as [`SrpPhatFast::compute_map`].
     pub fn localize(&self, frame: &[&[f64]]) -> Result<DoaEstimate, SslError> {
         DoaEstimate::from_map(self.compute_map(frame)?)
-            .ok_or_else(|| SslError::invalid_config("map", "empty SRP map has no peak"))
+            .ok_or_else(|| SslError::invalid_config("map", "SRP map has no finite peak"))
     }
 }
 
@@ -967,80 +659,6 @@ mod tests {
             .unwrap();
         assert!(simd.correlation(&reference) > 0.9999);
         assert_eq!(simd.peak().unwrap().0, reference.peak().unwrap().0);
-    }
-
-    #[test]
-    fn hierarchical_search_finds_the_same_peak() {
-        let fs = 16_000.0;
-        for &truth in &[-135.0, -20.0, 60.0, 170.0] {
-            let (channels, array) = simulate_static_source(truth, 18.0, fs, 8192, 6);
-            let cfg = SrpConfig::default();
-            let exhaustive = SrpPhatFast::new(cfg, &array, fs).unwrap();
-            let hier =
-                SrpPhatFast::with_search(cfg, SrpSearchConfig::hierarchical(), &array, fs).unwrap();
-            let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
-            let full = exhaustive.compute_map(&frame).unwrap();
-            let fast = hier.compute_map(&frame).unwrap();
-            // Full-resolution shape, identical grid.
-            assert_eq!(fast.len(), full.len());
-            assert_eq!(fast.azimuths_deg(), full.azimuths_deg());
-            // The global peak is refined, so it matches the exhaustive map exactly.
-            let (di_full, az_full) = full.peak().unwrap();
-            let (di_fast, az_fast) = fast.peak().unwrap();
-            assert_eq!(di_full, di_fast, "azimuth {truth}: {az_full} vs {az_fast}");
-            assert!((fast.power()[di_fast] - full.power()[di_full]).abs() < 1e-9);
-            assert!(fast.power().iter().all(|p| p.is_finite()));
-        }
-    }
-
-    #[test]
-    fn search_config_validation_rejects_degenerate_settings() {
-        let fs = 16_000.0;
-        let array = ispot_roadsim::microphone::MicrophoneArray::circular(
-            4,
-            0.2,
-            ispot_roadsim::geometry::Position::new(0.0, 0.0, 1.0),
-        );
-        let cfg = SrpConfig::default();
-        for bad in [
-            SrpSearchConfig {
-                decimation: 0,
-                ..SrpSearchConfig::hierarchical()
-            },
-            SrpSearchConfig {
-                decimation: 64,
-                refine_radius: 64,
-                ..SrpSearchConfig::hierarchical()
-            },
-            SrpSearchConfig {
-                coarse_peaks: 0,
-                ..SrpSearchConfig::hierarchical()
-            },
-            SrpSearchConfig {
-                decimation: 4,
-                refine_radius: 2,
-                ..SrpSearchConfig::hierarchical()
-            },
-        ] {
-            assert!(
-                matches!(
-                    SrpPhatFast::with_search(cfg, bad, &array, fs),
-                    Err(SslError::InvalidConfig { .. })
-                ),
-                "accepted {bad:?}"
-            );
-        }
-        // Exhaustive ignores the other knobs entirely.
-        let weird_but_exhaustive = SrpSearchConfig {
-            decimation: 1,
-            coarse_peaks: 0,
-            refine_radius: 0,
-        };
-        assert!(SrpPhatFast::with_search(cfg, weird_but_exhaustive, &array, fs).is_ok());
-        assert_eq!(
-            SrpPhatFast::new(cfg, &array, fs).unwrap().search(),
-            SrpSearchConfig::exhaustive()
-        );
     }
 
     #[test]
@@ -1223,6 +841,24 @@ mod tests {
             let err = angular_error_deg(est.azimuth_deg(), truth);
             assert!(err < 8.0, "azimuth {truth}: error {err}");
         }
+    }
+
+    #[test]
+    fn localize_rejects_a_frame_with_a_nan_sample() {
+        let fs = 16_000.0;
+        let (mut channels, array) = simulate_static_source(30.0, 18.0, fs, 8192, 6);
+        channels[2][5000] = f64::NAN;
+        let fast = SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap();
+        let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
+        // One NaN sample leaves no finite bin in the map...
+        let map = fast.compute_map(&frame).unwrap();
+        assert!(map.power().iter().all(|p| !p.is_finite()));
+        // ...so localization reports that instead of a bearing with NaN power.
+        let err = fast.localize(&frame).unwrap_err();
+        assert!(
+            matches!(err, SslError::InvalidConfig { name: "map", .. }),
+            "unexpected error {err}"
+        );
     }
 
     #[test]

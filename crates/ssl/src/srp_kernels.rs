@@ -126,9 +126,9 @@ fn phat_lags_portable(
     }
 }
 
-fn steer_portable(op: &SteerOp<'_>, lag_tables: &[f32], d0: usize, step: usize, out: &mut [f64]) {
-    for (di, slot) in out.iter_mut().enumerate() {
-        let row = (d0 + di * step) * op.num_pairs;
+fn steer_portable(op: &SteerOp<'_>, lag_tables: &[f32], out: &mut [f64]) {
+    for (d, slot) in out.iter_mut().enumerate() {
+        let row = d * op.num_pairs;
         let mut acc0 = F32x8::zero();
         let mut acc1 = F32x8::zero();
         for p in 0..op.num_pairs {
@@ -288,7 +288,7 @@ fn paired_dot_fma_x2(
 /// to 256-bit FMAs.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn steer_avx2(op: &SteerOp<'_>, lag_tables: &[f32], d0: usize, step: usize, out: &mut [f64]) {
+fn steer_avx2(op: &SteerOp<'_>, lag_tables: &[f32], out: &mut [f64]) {
     #[cfg(target_arch = "x86")]
     use core::arch::x86::{
         _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
@@ -297,8 +297,8 @@ fn steer_avx2(op: &SteerOp<'_>, lag_tables: &[f32], d0: usize, step: usize, out:
     use core::arch::x86_64::{
         _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
-    for (di, slot) in out.iter_mut().enumerate() {
-        let row = (d0 + di * step) * op.num_pairs;
+    for (d, slot) in out.iter_mut().enumerate() {
+        let row = d * op.num_pairs;
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
         for p in 0..op.num_pairs {
@@ -343,27 +343,18 @@ pub(crate) fn phat_lags(
     phat_lags_portable(spectra, op, phat_re, phat_im, lag_tables);
 }
 
-/// Steers directions `d0, d0+step, …` (one per `out` slot), dispatched like
-/// [`phat_lags`]. Serves the exhaustive pass (`step = 1` over the whole grid),
-/// the decimated coarse pass (`step = decimation`) and the refinement runs
-/// (`step = 1` over a window).
-pub(crate) fn steer(
-    use_fma: bool,
-    op: &SteerOp<'_>,
-    lag_tables: &[f32],
-    d0: usize,
-    step: usize,
-    out: &mut [f64],
-) {
+/// Steers every grid direction (direction `d` into `out[d]`), dispatched like
+/// [`phat_lags`].
+pub(crate) fn steer(use_fma: bool, op: &SteerOp<'_>, lag_tables: &[f32], out: &mut [f64]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if use_fma {
         // SAFETY: `use_fma` is only true when `fma_available()` confirmed
         // avx2+fma support on this host.
-        unsafe { steer_avx2(op, lag_tables, d0, step, out) };
+        unsafe { steer_avx2(op, lag_tables, out) };
         return;
     }
     let _ = use_fma;
-    steer_portable(op, lag_tables, d0, step, out);
+    steer_portable(op, lag_tables, out);
 }
 
 #[cfg(test)]
@@ -405,18 +396,11 @@ mod tests {
             padded_len,
         };
         for use_fma in [false, ispot_dsp::simd::fma_available()] {
-            // Full grid (step 1), then a strided pass (step 2).
             let mut out = vec![0.0; num_dirs];
-            steer(use_fma, &op, &lag_tables, 0, 1, &mut out);
+            steer(use_fma, &op, &lag_tables, &mut out);
             for (d, &got) in out.iter().enumerate() {
                 let want = steer_reference(&op, &lag_tables, d);
                 assert!((got - want).abs() < 1e-4, "d={d}: {got} vs {want}");
-            }
-            let mut strided = vec![0.0; num_dirs / 2];
-            steer(use_fma, &op, &lag_tables, 1, 2, &mut strided);
-            for (di, &got) in strided.iter().enumerate() {
-                let want = steer_reference(&op, &lag_tables, 1 + 2 * di);
-                assert!((got - want).abs() < 1e-4, "di={di}: {got} vs {want}");
             }
         }
     }

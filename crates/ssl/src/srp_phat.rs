@@ -125,11 +125,15 @@ impl SrpMap {
         self.power.is_empty()
     }
 
-    /// Index and azimuth (degrees) of the map maximum, or `None` for an empty map.
+    /// Index and azimuth (degrees) of the map maximum over its finite bins, or
+    /// `None` when no bin is finite (an empty map, or one a non-finite input
+    /// sample has turned NaN throughout). Non-finite bins are skipped as in
+    /// [`SrpMap::peaks_into`]; on equal power the later index wins.
     pub fn peak(&self) -> Option<(usize, f64)> {
         self.power
             .iter()
             .enumerate()
+            .filter(|(_, p)| p.is_finite())
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| (i, self.azimuths_deg[i]))
     }
@@ -299,8 +303,8 @@ pub struct DoaEstimate {
 }
 
 impl DoaEstimate {
-    /// Creates an estimate from a map by taking its peak. Returns `None` for an
-    /// empty map, which has no peak.
+    /// Creates an estimate from a map by taking its [`SrpMap::peak`]. Returns
+    /// `None` when the map has no finite bin.
     pub fn from_map(map: SrpMap) -> Option<Self> {
         let (idx, az) = map.peak()?;
         Some(DoaEstimate {
@@ -363,14 +367,6 @@ pub struct SrpScratch {
     /// `half_taps` pad cells at each table edge are zeroed once at creation and
     /// never written by the kernels, so edge tap windows read exact zeros.
     pub(crate) lag_f32: Vec<f32>,
-    /// Decimated coarse-grid map (hierarchical search).
-    pub(crate) coarse: SrpMap,
-    /// Coarse-peak scratch for the refinement stage (hierarchical search).
-    pub(crate) peaks: Vec<Peak>,
-    /// Per-direction "holds an exactly steered value" mask (hierarchical
-    /// search): interpolation runs between anchored cells after refinement so
-    /// the seeded fill stays continuous at refinement-window edges.
-    pub(crate) anchored: Vec<bool>,
 }
 
 impl SrpScratch {
@@ -604,7 +600,7 @@ impl SrpPhat {
     /// Same as [`SrpPhat::compute_map`].
     pub fn localize(&self, frame: &[&[f64]]) -> Result<DoaEstimate, SslError> {
         DoaEstimate::from_map(self.compute_map(frame)?)
-            .ok_or_else(|| SslError::invalid_config("map", "empty SRP map has no peak"))
+            .ok_or_else(|| SslError::invalid_config("map", "SRP map has no finite peak"))
     }
 
     /// Sampling rate the processor was built for.
@@ -758,6 +754,26 @@ mod tests {
         let est = DoaEstimate::from_map(map.clone()).unwrap();
         assert_eq!(est.azimuth_deg(), 0.0);
         assert_eq!(est.map().len(), 3);
+    }
+
+    #[test]
+    fn peak_skips_non_finite_bins() {
+        let az = vec![-90.0, 0.0, 90.0];
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let map = SrpMap::new(az.clone(), vec![1.0, bad, 0.5]);
+            assert_eq!(map.peak(), Some((0, -90.0)), "non-finite bin {bad}");
+            let map = SrpMap::new(az.clone(), vec![0.5, 1.0, bad]);
+            assert_eq!(map.peak(), Some((1, 0.0)), "non-finite bin {bad}");
+        }
+        // On equal power the later index wins, as in `peaks_into`.
+        let tie = SrpMap::new(az.clone(), vec![2.0, f64::NAN, 2.0]);
+        assert_eq!(tie.peak(), Some((2, 90.0)));
+        // A map without a finite bin has no peak and yields no estimate.
+        let all_nan = SrpMap::new(az.clone(), vec![f64::NAN; 3]);
+        assert_eq!(all_nan.peak(), None);
+        assert!(DoaEstimate::from_map(all_nan).is_none());
+        let all_bad = SrpMap::new(az, vec![f64::INFINITY, -f64::NAN, f64::NEG_INFINITY]);
+        assert_eq!(all_bad.peak(), None);
     }
 
     #[test]

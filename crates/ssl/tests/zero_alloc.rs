@@ -9,7 +9,7 @@
 
 use ispot_roadsim::geometry::Position;
 use ispot_roadsim::microphone::MicrophoneArray;
-use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
+use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{SrpConfig, SrpMap, SrpPhat};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,25 +85,6 @@ fn steady_state_compute_map_into_allocates_nothing() {
     assert_eq!(
         fast_allocs, 0,
         "lag-domain compute_map_into allocated {fast_allocs} times in steady state"
-    );
-
-    // The hierarchical coarse-to-fine search reuses the same scratch (plus its
-    // pre-sized coarse map and peak list) and must stay allocation-free as well.
-    let hier =
-        SrpPhatFast::with_search(config, SrpSearchConfig::hierarchical(), &array, fs).unwrap();
-    let mut hier_scratch = hier.make_scratch();
-    let mut hier_map = SrpMap::default();
-    hier.compute_map_into(&frame, &mut hier_scratch, &mut hier_map)
-        .unwrap();
-    let before = allocation_count();
-    for _ in 0..10 {
-        hier.compute_map_into(&frame, &mut hier_scratch, &mut hier_map)
-            .unwrap();
-    }
-    let hier_allocs = allocation_count() - before;
-    assert_eq!(
-        hier_allocs, 0,
-        "hierarchical compute_map_into allocated {hier_allocs} times in steady state"
     );
 
     // The retained f64 reference path takes its own scratch, which pre-sizes its
