@@ -173,15 +173,20 @@ impl Manifest {
                         "smoothstep01",
                     ],
                 ),
-                // Streaming substrate.
+                // Streaming substrate. `FrameAssembler::grow` is deliberately
+                // absent: it reallocates the window only when a larger chunk
+                // than any before arrives, so steady state never reaches it.
                 entry(
                     "crates/dsp/src/framing.rs",
                     &[
                         "push",
                         "push_planar",
                         "push_interleaved",
+                        "reserve",
+                        "slide",
                         "settle_discard",
                         "frame_ready",
+                        "emit_with",
                         "emit_into",
                     ],
                 ),

@@ -47,8 +47,8 @@ fn bench_pipeline(c: &mut Criterion) {
 /// Streaming (`push_chunk_with` with capture-sized chunks) against batch
 /// (`process_recording_with`) over the same recording, into the same sink. The
 /// two process identical frames through identical stages, so any gap between
-/// them is pure framing overhead; with the preallocated assembler and recycled
-/// frame buffers the streaming path should sit within noise of batch — this
+/// them is pure framing overhead; with the preallocated assembler lending each
+/// frame in place the streaming path should sit within noise of batch — this
 /// bench is the regression guard for the zero-per-frame-allocation property of
 /// the mixdown/framing path.
 fn bench_streaming_vs_batch(c: &mut Criterion) {

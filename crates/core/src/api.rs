@@ -408,24 +408,6 @@ impl Engine {
     }
 }
 
-/// Streaming state: the chunk-to-frame assembler plus recycled frame buffers.
-/// Created lazily on the first chunk push; all buffers are reused across frames,
-/// so steady-state streaming allocates nothing.
-#[derive(Debug)]
-struct Framing {
-    assembler: FrameAssembler,
-    frame_bufs: Vec<Vec<f64>>,
-}
-
-impl Framing {
-    fn new(num_channels: usize, frame_len: usize, hop: usize) -> Result<Self, PipelineError> {
-        Ok(Framing {
-            assembler: FrameAssembler::new(num_channels, frame_len, hop)?,
-            frame_bufs: vec![Vec::with_capacity(frame_len); num_channels],
-        })
-    }
-}
-
 /// One independent audio stream processed against an [`Engine`]: the complete
 /// detection + localization + tracking worker.
 ///
@@ -448,7 +430,9 @@ pub struct Session {
     sample_rate: f64,
     num_channels: usize,
     stages: StageGraph,
-    framing: Option<Framing>,
+    /// Streaming state, created on the first chunk push. Frames are lent
+    /// straight out of its window, so steady-state streaming allocates nothing.
+    framing: Option<FrameAssembler>,
     frames_processed: usize,
     frames_analyzed: usize,
     localization_shed: bool,
@@ -606,15 +590,15 @@ impl Session {
     pub fn pending_samples(&self) -> usize {
         self.framing
             .as_ref()
-            .map_or(0, |f| f.assembler.samples_buffered())
+            .map_or(0, FrameAssembler::samples_buffered)
     }
 
     /// Discards any partially assembled streaming input and restarts streaming frame
     /// numbering at 0. Frame counters are retained. Buffers
     /// are kept, so resetting does not reintroduce allocations.
     pub fn reset_streaming(&mut self) {
-        if let Some(framing) = &mut self.framing {
-            framing.assembler.reset();
+        if let Some(assembler) = &mut self.framing {
+            assembler.reset();
         }
     }
 
@@ -706,8 +690,9 @@ impl Session {
     /// internal assembler buffers the stream and emits exactly-`frame_len` frames
     /// every `hop` samples, so any chunking — and any sample format — of the same
     /// signal yields the same events. Samples are converted and de-interleaved
-    /// directly into the assembler's rings; no intermediate buffer is built, and
-    /// steady state performs no heap allocation for channel counts up to 32.
+    /// directly into the assembler's window, and each frame is analyzed in place
+    /// there; no intermediate buffer is built, and steady state performs no heap
+    /// allocation for channel counts up to 32.
     ///
     /// # Errors
     ///
@@ -730,43 +715,44 @@ impl Session {
                 actual: input.num_channels(),
             });
         }
-        // Move the framing state out of `self` so the frame buffers can be borrowed
-        // while `process_frame_with` takes `&mut self`.
-        let mut framing = match self.framing.take() {
-            Some(f) => f,
-            None => Framing::new(self.num_channels, self.config.frame_len, self.config.hop)?,
+        // Move the assembler out of `self` so its frames can be borrowed while
+        // `process_frame_with` takes `&mut self`.
+        let mut assembler = match self.framing.take() {
+            Some(assembler) => assembler,
+            None => FrameAssembler::new(self.num_channels, self.config.frame_len, self.config.hop)?,
         };
-        let result = self.ingest_and_drain(&mut framing, input, sink);
-        self.framing = Some(framing);
+        let result = self.ingest_and_drain(&mut assembler, input, sink);
+        self.framing = Some(assembler);
         result
     }
 
     fn ingest_and_drain<S: EventSink>(
         &mut self,
-        framing: &mut Framing,
+        assembler: &mut FrameAssembler,
         input: AudioInput<'_>,
         sink: &mut S,
     ) -> Result<usize, PipelineError> {
         match input {
-            AudioInput::PlanarI16(chunk) => framing.assembler.push_planar(chunk)?,
-            AudioInput::PlanarF32(chunk) => framing.assembler.push_planar(chunk)?,
-            AudioInput::PlanarF64(chunk) => framing.assembler.push_planar(chunk)?,
+            AudioInput::PlanarI16(chunk) => assembler.push_planar(chunk)?,
+            AudioInput::PlanarF32(chunk) => assembler.push_planar(chunk)?,
+            AudioInput::PlanarF64(chunk) => assembler.push_planar(chunk)?,
             AudioInput::InterleavedI16 { data, channels } => {
-                push_interleaved(&mut framing.assembler, data, channels)?
+                push_interleaved(assembler, data, channels)?
             }
             AudioInput::InterleavedF32 { data, channels } => {
-                push_interleaved(&mut framing.assembler, data, channels)?
+                push_interleaved(assembler, data, channels)?
             }
             AudioInput::InterleavedF64 { data, channels } => {
-                push_interleaved(&mut framing.assembler, data, channels)?
+                push_interleaved(assembler, data, channels)?
             }
         }
         let mut emitted = 0;
-        while framing.assembler.frame_ready() {
-            let index = framing.assembler.emit_into(&mut framing.frame_bufs)?;
-            with_channel_views(&framing.frame_bufs, |views| {
-                self.process_frame_with(views, index, sink)
-            })?;
+        while assembler.frame_ready() {
+            // The assembler advances past the frame whatever the analysis
+            // returns: a failed frame is consumed, later samples stay buffered.
+            let outcome =
+                assembler.emit_with(|frame, index| self.process_frame_with(frame, index, sink))?;
+            outcome?;
             emitted += 1;
         }
         Ok(emitted)
@@ -1216,5 +1202,65 @@ mod tests {
         assert!(seen > 0);
         park.set_mode(OperatingMode::Park);
         assert_eq!(park.stages.trigger.frames_seen(), seen);
+    }
+
+    #[test]
+    fn one_nan_sample_costs_tracking_frames_not_the_rest_of_the_stream() {
+        use ispot_roadsim::engine::Simulator;
+        use ispot_roadsim::scene::SceneBuilder;
+        use ispot_roadsim::source::SoundSource;
+        use ispot_roadsim::trajectory::Trajectory;
+
+        let fs = 16_000.0;
+        let array = MicrophoneArray::irregular_hexagon(Position::new(0.0, 0.0, 1.0));
+        let scene = SceneBuilder::new(fs)
+            .source(SoundSource::new(
+                SirenSynthesizer::new(SirenKind::Wail, fs).synthesize(3.0),
+                Trajectory::fixed(Position::new(12.0, 10.0, 1.0)),
+            ))
+            .array(array.clone())
+            .reflection(false)
+            .air_absorption(false)
+            .build()
+            .unwrap();
+        let clean = Simulator::new(scene)
+            .unwrap()
+            .run()
+            .unwrap()
+            .into_channels();
+        let engine = PipelineBuilder::new(fs)
+            .array(&array)
+            .build_engine()
+            .unwrap();
+        // Streams 512-sample chunks and returns (events, events carrying a
+        // track) among those emitted after chunk 40.
+        let late_events = |channels: &[Vec<f64>]| {
+            let mut session = engine.open_session();
+            let (mut events, mut tracked) = (0, 0);
+            for (n, start) in (0..channels[0].len()).step_by(512).enumerate() {
+                let end = (start + 512).min(channels[0].len());
+                let chunk: Vec<&[f64]> = channels.iter().map(|c| &c[start..end]).collect();
+                let mut sink = VecSink::new();
+                session.push_chunk_with(&chunk, &mut sink).unwrap();
+                if n > 40 {
+                    events += sink.events().len();
+                    tracked += sink
+                        .events()
+                        .iter()
+                        .filter(|e| e.tracked_azimuth_deg.is_some())
+                        .count();
+                }
+            }
+            (events, tracked)
+        };
+        let (events, tracked) = late_events(&clean);
+        assert!(events > 20, "only {events} late events");
+        assert_eq!(tracked, events, "the clean stream lost its track");
+        // One NaN in channel 2 of chunk 20 poisons the SRP maps of the frames
+        // that hold it; the smoothed map restarts those bins on the next
+        // finite frame, so tracking is back long before chunk 40.
+        let mut poisoned = clean.clone();
+        poisoned[2][20 * 512 + 100] = f64::NAN;
+        assert_eq!(late_events(&poisoned), (events, tracked));
     }
 }

@@ -3,7 +3,7 @@
 //! Capture front-ends deliver audio as interleaved `i16` or `f32` blocks far more
 //! often than as the planar `f64` slices the analysis runs on. [`AudioInput`]
 //! describes one incoming chunk in any of those shapes; the pipeline
-//! de-interleaves and converts it **directly into the frame assembler's rings**
+//! de-interleaves and converts it **directly into the frame assembler's window**
 //! (via the generic `ispot_dsp::framing` entry points), so no intermediate
 //! conversion or de-interleave buffer is ever built — ingestion stays
 //! allocation-free in steady state regardless of the wire format.

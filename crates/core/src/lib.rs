@@ -22,7 +22,7 @@
 //!
 //! Input enters in any capture-driver format ([`input::AudioInput`]: interleaved
 //! or planar, `i16`/`f32`/`f64`), is de-interleaved and converted directly into
-//! the frame assembler's rings, and results leave **by reference** through an
+//! the frame assembler's window, and results leave **by reference** through an
 //! [`sink::EventSink`] — in steady state the whole path from chunk ingestion to
 //! event emission performs zero heap allocations. A `Vec<PerceptionEvent>` is
 //! itself a sink, for experiments and quick scripts that collect every event.

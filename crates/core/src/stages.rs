@@ -22,7 +22,7 @@ use ispot_sed::EventClass;
 use ispot_ssl::multitrack::{MultiTargetTracker, TrackSnapshot, TrackingConfig};
 use ispot_ssl::srp_fast::SrpPhatFast;
 use ispot_ssl::srp_phat::{Peak, SrpConfig, SrpMap, SrpScratch};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Detection stage: classifies the mono mixdown into an [`EventClass`] with a
 /// confidence score.
@@ -86,6 +86,8 @@ impl DetectStage {
 ///
 /// The stage owns the localizer's [`SrpScratch`], output [`SrpMap`] and peak
 /// scratch, so the per-frame localization path performs no heap allocation.
+/// They are built on the first localized frame: a park-mode session, or a drive
+/// stream that never sees a confident detection, never holds them.
 #[derive(Debug)]
 pub struct LocalizeStage {
     localizer: Option<ActiveLocalizer>,
@@ -99,18 +101,46 @@ pub struct LocalizeStage {
 
 /// A live localizer plus the scratch memory its frame path reuses. The
 /// processor (steering operator, FFT plans) is immutable and shared behind an
-/// [`Arc`]; only the scratch, the maps and the peak list are per-stream.
+/// [`Arc`]; only the buffers are per-stream.
 #[derive(Debug)]
 struct ActiveLocalizer {
     srp: Arc<SrpPhatFast>,
+    /// `None` until the first localized frame.
+    buffers: Option<LocalizeBuffers>,
+}
+
+/// The per-stream memory of localization: SRP scratch, maps and peak list.
+#[derive(Debug)]
+struct LocalizeBuffers {
     scratch: SrpScratch,
     map: SrpMap,
     /// EMA of `map` across frames; peaks are extracted from here, so transient
     /// clutter (inter-source cross-terms, tonal aliasing lobes) is averaged
-    /// away before it can spawn tracks. Emptied on reset.
+    /// away before it can spawn tracks. Zeroed on reset.
     smoothed: SrpMap,
     peaks: Vec<Peak>,
 }
+
+impl LocalizeBuffers {
+    /// Sizes every buffer for `srp`, so the frame path itself allocates
+    /// nothing. The smoothed map starts as zeros on the grid: the EMA of the
+    /// first frame ramps up from zero rather than restarting from its map.
+    fn new(srp: &SrpPhatFast, max_peaks: usize) -> Self {
+        let map = SrpMap::new(
+            srp.grid().azimuths_deg().to_vec(),
+            vec![0.0; srp.grid().num_directions()],
+        );
+        LocalizeBuffers {
+            scratch: srp.make_scratch(),
+            smoothed: map.clone(),
+            map,
+            peaks: Vec::with_capacity(max_peaks),
+        }
+    }
+}
+
+/// What [`LocalizeStage::last_map`] lends before the first localized frame.
+static EMPTY_MAP: LazyLock<SrpMap> = LazyLock::new(SrpMap::default);
 
 impl LocalizeStage {
     /// Creates a disabled stage (detection-only pipelines).
@@ -137,27 +167,13 @@ impl LocalizeStage {
     }
 
     /// Creates the stage around an existing shared localizer (or a disabled stage
-    /// for `None`), allocating only the per-stream scratch, output map and peak
-    /// list. This is the cheap per-session constructor used by the engine; the
-    /// tracking configuration supplies the peak budget and NMS separation.
+    /// for `None`). This is the cheap per-session constructor used by the
+    /// engine: it allocates nothing, and the per-stream scratch, output map and
+    /// peak list follow on the first localized frame. The tracking
+    /// configuration supplies the peak budget and NMS separation.
     pub fn shared(srp: Option<Arc<SrpPhatFast>>, tracking: TrackingConfig) -> Self {
         LocalizeStage {
-            localizer: srp.map(|srp| {
-                let scratch = srp.make_scratch();
-                // Pre-size the output map too, so the very first frame allocates
-                // nothing.
-                let map = SrpMap::new(
-                    srp.grid().azimuths_deg().to_vec(),
-                    vec![0.0; srp.grid().num_directions()],
-                );
-                ActiveLocalizer {
-                    srp,
-                    scratch,
-                    smoothed: map.clone(),
-                    map,
-                    peaks: Vec::with_capacity(tracking.max_peaks),
-                }
-            }),
+            localizer: srp.map(|srp| ActiveLocalizer { srp, buffers: None }),
             max_peaks: tracking.max_peaks,
             min_separation_deg: tracking.min_separation_deg,
             map_smoothing: tracking.map_smoothing,
@@ -178,52 +194,60 @@ impl LocalizeStage {
     /// Localizes the frame, extracting the top-K SRP peaks (strongest first)
     /// into the stage-owned scratch, and returns them — `None` when the stage
     /// is disabled, an empty slice when the map has no finite peak. Reuses the
-    /// stage-owned scratch, map and peak list: no per-frame allocation.
+    /// stage-owned scratch, map and peak list: no per-frame allocation after
+    /// the first call.
     ///
     /// # Errors
     ///
     /// Returns an error if the channel count or frame length is wrong.
     pub fn localize_peaks(&mut self, frame: &[&[f64]]) -> Result<Option<&[Peak]>, PipelineError> {
-        match &mut self.localizer {
-            None => Ok(None),
-            Some(ActiveLocalizer {
-                srp,
-                scratch,
-                map,
-                smoothed,
-                peaks,
-            }) => {
-                let (max_peaks, min_sep, retain) =
-                    (self.max_peaks, self.min_separation_deg, self.map_smoothing);
-                srp.compute_map_into(frame, scratch, map)?;
-                if retain > 0.0 {
-                    smoothed.smooth_from(map, retain);
-                    smoothed.peaks_into(max_peaks, min_sep, peaks);
-                } else {
-                    map.peaks_into(max_peaks, min_sep, peaks);
-                }
-                Ok(Some(peaks))
-            }
+        let Some(ActiveLocalizer { srp, buffers }) = &mut self.localizer else {
+            return Ok(None);
+        };
+        let (max_peaks, min_sep, retain) =
+            (self.max_peaks, self.min_separation_deg, self.map_smoothing);
+        // The stream's one localization allocation, on its first localized
+        // frame. The warm-ups of the core and serve zero-alloc suites fire
+        // events, so their measured windows start after it.
+        let LocalizeBuffers {
+            scratch,
+            map,
+            smoothed,
+            peaks,
+        } = buffers.get_or_insert_with(|| LocalizeBuffers::new(srp, max_peaks));
+        srp.compute_map_into(frame, scratch, map)?;
+        if retain > 0.0 {
+            smoothed.smooth_from(map, retain);
+            smoothed.peaks_into(max_peaks, min_sep, peaks);
+        } else {
+            map.peaks_into(max_peaks, min_sep, peaks);
         }
+        Ok(Some(peaks))
     }
 
     /// The SRP map produced by the most recent localize call (empty before the
     /// first frame; None when the stage is disabled).
     pub fn last_map(&self) -> Option<&SrpMap> {
-        self.localizer.as_ref().map(|a| &a.map)
+        let active = self.localizer.as_ref()?;
+        Some(active.buffers.as_ref().map_or(&*EMPTY_MAP, |b| &b.map))
     }
 
     /// The peaks extracted by the most recent localize call (empty before the
     /// first frame; None when the stage is disabled).
     pub fn last_peaks(&self) -> Option<&[Peak]> {
-        self.localizer.as_ref().map(|a| a.peaks.as_slice())
+        let active = self.localizer.as_ref()?;
+        Some(active.buffers.as_ref().map_or(&[], |b| b.peaks.as_slice()))
     }
 
     /// Restarts the temporal map EMA: smoothing history must never leak
-    /// across streams or mode switches.
+    /// across streams or mode switches. Keeps the buffers it has.
     pub fn reset(&mut self) {
-        if let Some(active) = &mut self.localizer {
-            active.smoothed.zero();
+        if let Some(ActiveLocalizer {
+            buffers: Some(buffers),
+            ..
+        }) = &mut self.localizer
+        {
+            buffers.smoothed.zero();
         }
     }
 }
@@ -682,7 +706,8 @@ mod tests {
         let array = MicrophoneArray::circular(4, 0.2, Position::new(0.0, 0.0, 1.0));
         let mut stage = LocalizeStage::for_array(SrpConfig::default(), &array, fs).unwrap();
         assert!(stage.is_available());
-        assert!(stage.last_map().is_some());
+        assert!(stage.last_map().is_some_and(SrpMap::is_empty));
+        assert!(stage.last_peaks().is_some_and(<[Peak]>::is_empty));
         let ch: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.11).sin()).collect();
         let frame: Vec<&[f64]> = vec![&ch; 4];
         let peaks = stage.localize_peaks(&frame).unwrap();

@@ -128,8 +128,8 @@ fn steady_state_streaming_with_sinks_allocates_nothing() {
         .unwrap();
     let mut session = engine.open_session();
 
-    // Warm-up: size the assembler rings, recycled frame buffers, detector and
-    // SRP scratch, the latency-report entries and the output map.
+    // Warm-up: size the assembler window and the detector scratch; the first
+    // localized event builds the SRP scratch, maps and peak list.
     let (_, warm) = measure(&mut session, &channels, 1600, 64);
     assert!(warm.counter.frames > 0, "warm-up processed no frames");
     assert!(warm.counter.alerts > 0, "warm-up fired no events");

@@ -4,10 +4,15 @@
 //! rarely the analysis frame length. [`FrameAssembler`] sits between the two: it
 //! accepts multichannel chunks of **arbitrary** size (one sample up to many frames)
 //! and yields exactly-`frame_len` frames advanced by `hop`, byte-identical to slicing
-//! the concatenated stream directly. It is built on [`RingBuffer`] (one per channel)
-//! and performs **no heap allocation in steady state**: the rings only grow (once)
-//! when a larger chunk than ever seen before arrives, and frames are emitted into
-//! caller-provided buffers.
+//! the concatenated stream directly.
+//!
+//! Every channel lives in one linear window (a single channel-major `Vec<f64>`),
+//! and [`emit_with`](FrameAssembler::emit_with) lends each frame straight out of
+//! it as borrowed slices, so a frame is never copied on its way to the analysis.
+//! Before a push that would run past the end of the window, the buffered samples
+//! slide to the front; the window grows (once, to the next power of two) only when
+//! a larger chunk than ever seen before arrives. Steady state performs **no heap
+//! allocation**.
 //!
 //! # Example
 //!
@@ -16,20 +21,32 @@
 //!
 //! # fn main() -> Result<(), ispot_dsp::DspError> {
 //! let mut asm = FrameAssembler::new(1, 4, 2)?;
-//! let mut frame = vec![Vec::new()];
 //! asm.push(&[&[1.0, 2.0, 3.0]])?;
 //! assert!(!asm.frame_ready());
 //! asm.push(&[&[4.0, 5.0]])?;
 //! assert!(asm.frame_ready());
-//! assert_eq!(asm.emit_into(&mut frame)?, 0); // frame index 0
-//! assert_eq!(frame[0], [1.0, 2.0, 3.0, 4.0]);
+//! // Frame 0 is lent in place; the stream then advances by one hop.
+//! let sum = asm.emit_with(|frame, index| {
+//!     assert_eq!(index, 0);
+//!     assert_eq!(frame[0], [1.0, 2.0, 3.0, 4.0]);
+//!     frame[0].iter().sum::<f64>()
+//! })?;
+//! assert_eq!(sum, 10.0);
+//! // `emit_into` copies the next frame out instead.
+//! asm.push(&[&[6.0]])?;
+//! let mut frame = vec![Vec::new()];
+//! assert_eq!(asm.emit_into(&mut frame)?, 1);
+//! assert_eq!(frame[0], [3.0, 4.0, 5.0, 6.0]);
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::error::DspError;
-use crate::ring::RingBuffer;
 use crate::sample::Sample;
+
+/// Channel counts up to this bound lend their frames through a view table on the
+/// stack; beyond it [`FrameAssembler::emit_with`] builds one small `Vec` per frame.
+const MAX_STACK_CHANNELS: usize = 32;
 
 /// Reassembles arbitrary-sized multichannel chunks into fixed frames.
 ///
@@ -38,7 +55,16 @@ use crate::sample::Sample;
 /// framing the whole stream at once with the same `frame_len`/`hop`.
 #[derive(Debug, Clone)]
 pub struct FrameAssembler {
-    rings: Vec<RingBuffer>,
+    /// The window, channel-major: channel `c` buffers
+    /// `samples[c * capacity + start..c * capacity + end]`.
+    samples: Vec<f64>,
+    num_channels: usize,
+    /// Window length per channel.
+    capacity: usize,
+    /// First buffered sample, the same offset in every channel.
+    start: usize,
+    /// One past the last buffered sample, the same offset in every channel.
+    end: usize,
     frame_len: usize,
     hop: usize,
     /// Samples that still have to be discarded before the next frame starts
@@ -79,11 +105,12 @@ impl FrameAssembler {
         // Enough for one frame plus one hop of look-ahead; grows on demand if the
         // producer delivers larger chunks.
         let capacity = frame_len + hop;
-        let rings = (0..num_channels)
-            .map(|_| RingBuffer::new(capacity))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(FrameAssembler {
-            rings,
+            samples: vec![0.0; num_channels * capacity],
+            num_channels,
+            capacity,
+            start: 0,
+            end: 0,
             frame_len,
             hop,
             pending_discard: 0,
@@ -93,7 +120,7 @@ impl FrameAssembler {
 
     /// Number of input channels.
     pub fn num_channels(&self) -> usize {
-        self.rings.len()
+        self.num_channels
     }
 
     /// Frame length in samples.
@@ -113,15 +140,14 @@ impl FrameAssembler {
 
     /// Samples currently buffered per channel.
     pub fn samples_buffered(&self) -> usize {
-        self.rings[0].available()
+        self.end - self.start
     }
 
-    /// Clears all buffered samples and restarts frame numbering at 0. Ring capacity
-    /// is retained, so a reset does not reintroduce allocations.
+    /// Clears all buffered samples and restarts frame numbering at 0. The window
+    /// keeps its capacity, so a reset does not reintroduce allocations.
     pub fn reset(&mut self) {
-        for ring in &mut self.rings {
-            ring.clear();
-        }
+        self.start = 0;
+        self.end = 0;
         self.pending_discard = 0;
         self.next_frame_index = 0;
     }
@@ -129,9 +155,10 @@ impl FrameAssembler {
     /// Appends one multichannel chunk (`chunk[channel][sample]`; every channel the
     /// same length, any length including zero).
     ///
-    /// Allocates only if the buffered backlog would exceed the current ring capacity
-    /// — with a consumer that drains ready frames between pushes, capacity converges
-    /// after the first few chunks and steady state is allocation-free.
+    /// Allocates only if the buffered backlog plus the chunk would exceed the
+    /// window's capacity — with a consumer that drains ready frames between
+    /// pushes, capacity converges after the first few chunks and steady state is
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -144,16 +171,16 @@ impl FrameAssembler {
 
     /// Appends one planar multichannel chunk in any [`Sample`] format
     /// (`chunk[channel][sample]`; every channel the same length, any length
-    /// including zero). Samples are converted to `f64` as they enter the rings —
+    /// including zero). Samples are converted to `f64` as they enter the window —
     /// no intermediate conversion buffer is built.
     ///
     /// # Errors
     ///
     /// Same conditions as [`push`](FrameAssembler::push).
     pub fn push_planar<S: Sample>(&mut self, chunk: &[&[S]]) -> Result<(), DspError> {
-        if chunk.len() != self.rings.len() {
+        if chunk.len() != self.num_channels {
             return Err(DspError::LengthMismatch {
-                expected: self.rings.len(),
+                expected: self.num_channels,
                 actual: chunk.len(),
             });
         }
@@ -167,9 +194,13 @@ impl FrameAssembler {
             }
         }
         self.reserve(chunk_len);
-        for (ring, ch) in self.rings.iter_mut().zip(chunk) {
-            ring.write_iter(ch.iter().copied().map(Sample::to_f64))?;
+        let end = self.end;
+        for (window, ch) in self.samples.chunks_exact_mut(self.capacity).zip(chunk) {
+            for (slot, &x) in window[end..end + chunk_len].iter_mut().zip(*ch) {
+                *slot = x.to_f64();
+            }
         }
+        self.end += chunk_len;
         self.settle_discard();
         Ok(())
     }
@@ -177,14 +208,14 @@ impl FrameAssembler {
     /// Appends one interleaved chunk in any [`Sample`] format
     /// (`data[sample * num_channels + channel]`, the layout capture drivers
     /// deliver). The chunk is de-interleaved with strided reads straight into the
-    /// per-channel rings — no intermediate de-interleave buffer is built.
+    /// window — no intermediate de-interleave buffer is built.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::LengthMismatch`] if `data.len()` is not a whole number
     /// of `num_channels`-sample frames. The assembler is unchanged on error.
     pub fn push_interleaved<S: Sample>(&mut self, data: &[S]) -> Result<(), DspError> {
-        let num_channels = self.rings.len();
+        let num_channels = self.num_channels;
         if !data.len().is_multiple_of(num_channels) {
             return Err(DspError::LengthMismatch {
                 expected: (data.len() / num_channels) * num_channels,
@@ -195,57 +226,124 @@ impl FrameAssembler {
             self.settle_discard();
             return Ok(());
         }
-        self.reserve(data.len() / num_channels);
-        for (channel, ring) in self.rings.iter_mut().enumerate() {
-            ring.write_iter(
-                data[channel..]
-                    .iter()
-                    .step_by(num_channels)
-                    .copied()
-                    .map(Sample::to_f64),
-            )?;
+        let chunk_len = data.len() / num_channels;
+        self.reserve(chunk_len);
+        let end = self.end;
+        for (channel, window) in self.samples.chunks_exact_mut(self.capacity).enumerate() {
+            let strided = data[channel..].iter().step_by(num_channels);
+            for (slot, &x) in window[end..end + chunk_len].iter_mut().zip(strided) {
+                *slot = x.to_f64();
+            }
         }
+        self.end += chunk_len;
         self.settle_discard();
         Ok(())
     }
 
-    /// Grows the rings (once, to the next power of two) if `additional` more
-    /// samples would exceed the current capacity.
+    /// Makes room for `additional` more samples per channel after `end`: slides
+    /// the buffered samples to the front if that is enough, and grows the window
+    /// otherwise.
     fn reserve(&mut self, additional: usize) {
-        let needed = self.rings[0].available() + additional;
-        if needed > self.rings[0].capacity() {
-            for ring in &mut self.rings {
-                ring.grow(needed.next_power_of_two());
-            }
+        if self.end + additional <= self.capacity {
+            return;
         }
+        let needed = self.samples_buffered() + additional;
+        if needed > self.capacity {
+            self.grow(needed.next_power_of_two());
+        } else {
+            self.slide();
+        }
+    }
+
+    /// Moves every channel's buffered run to the front of its window.
+    fn slide(&mut self) {
+        let (start, end) = (self.start, self.end);
+        for window in self.samples.chunks_exact_mut(self.capacity) {
+            window.copy_within(start..end, 0);
+        }
+        self.end -= start;
+        self.start = 0;
+    }
+
+    /// Reallocates the window at `capacity` samples per channel, with the buffered
+    /// runs at the front. The only allocating operation after construction: it
+    /// runs when a larger chunk than ever seen before arrives.
+    fn grow(&mut self, capacity: usize) {
+        let live = self.samples_buffered();
+        let mut samples = vec![0.0; self.num_channels * capacity];
+        for (to, from) in samples
+            .chunks_exact_mut(capacity)
+            .zip(self.samples.chunks_exact(self.capacity))
+        {
+            to[..live].copy_from_slice(&from[self.start..self.end]);
+        }
+        self.samples = samples;
+        self.capacity = capacity;
+        self.start = 0;
+        self.end = live;
     }
 
     /// Applies any outstanding inter-frame discard (`hop > frame_len` gaps) as soon
     /// as the samples to be skipped have arrived.
     fn settle_discard(&mut self) {
-        if self.pending_discard == 0 {
-            return;
-        }
-        let drop = self.pending_discard.min(self.rings[0].available());
-        if drop > 0 {
-            for ring in &mut self.rings {
-                // analyze: allow(expect) — statically infallible: `drop` is clamped
-                // to `available()` above and every ring holds the same count
-                ring.skip(drop).expect("discard bounded by available()");
-            }
-            self.pending_discard -= drop;
-        }
+        let drop = self.pending_discard.min(self.samples_buffered());
+        self.start += drop;
+        self.pending_discard -= drop;
     }
 
     /// Returns true when a full frame is buffered and can be emitted.
     pub fn frame_ready(&self) -> bool {
-        self.pending_discard == 0 && self.rings[0].available() >= self.frame_len
+        self.pending_discard == 0 && self.samples_buffered() >= self.frame_len
+    }
+
+    /// Lends the next frame to `f` as one borrowed `frame_len`-sample slice per
+    /// channel, together with the frame's index, then advances the stream position
+    /// by `hop` — whatever `f` returns, so a frame whose processing fails is still
+    /// consumed and the samples after it stay buffered. Returns what `f` returned.
+    ///
+    /// Nothing is copied: the slices point into the assembler's window. Up to 32
+    /// channels the slice table lives on the stack, so emission allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InsufficientData`] if no frame is ready (check
+    /// [`frame_ready`](FrameAssembler::frame_ready) first); `f` is not called.
+    pub fn emit_with<R>(&mut self, f: impl FnOnce(&[&[f64]], usize) -> R) -> Result<R, DspError> {
+        if !self.frame_ready() {
+            return Err(DspError::InsufficientData {
+                required: self.frame_len + self.pending_discard,
+                available: self.samples_buffered(),
+            });
+        }
+        let index = self.next_frame_index;
+        let (start, end) = (self.start, self.start + self.frame_len);
+        let channels = self.samples.chunks_exact(self.capacity);
+        let result = if self.num_channels <= MAX_STACK_CHANNELS {
+            let mut views: [&[f64]; MAX_STACK_CHANNELS] = [&[]; MAX_STACK_CHANNELS];
+            for (view, window) in views.iter_mut().zip(channels) {
+                *view = &window[start..end];
+            }
+            f(&views[..self.num_channels], index)
+        } else {
+            // analyze: allow(alloc) — fallback beyond MAX_STACK_CHANNELS only: every
+            // channel count up to 32 takes the stack arm above
+            let views: Vec<&[f64]> = channels.map(|window| &window[start..end]).collect();
+            f(&views, index)
+        };
+        // Advance by hop; if hop exceeds what is buffered (hop > frame_len streams),
+        // remember the shortfall and discard it as the gap samples arrive.
+        let advance = self.hop.min(self.samples_buffered());
+        self.start += advance;
+        self.pending_discard = self.hop - advance;
+        self.next_frame_index += 1;
+        Ok(result)
     }
 
     /// Emits the next frame into `out` (one `Vec<f64>` per channel, resized to
     /// `frame_len`; reusing the same `out` across calls makes emission
     /// allocation-free) and advances the stream position by `hop`. Returns the index
-    /// of the emitted frame.
+    /// of the emitted frame. This is [`emit_with`](FrameAssembler::emit_with) plus a
+    /// copy, for callers that need to own the frame.
     ///
     /// # Errors
     ///
@@ -253,31 +351,19 @@ impl FrameAssembler {
     /// [`frame_ready`](FrameAssembler::frame_ready) first) or
     /// [`DspError::LengthMismatch`] if `out` has the wrong channel count.
     pub fn emit_into(&mut self, out: &mut [Vec<f64>]) -> Result<usize, DspError> {
-        if out.len() != self.rings.len() {
+        if out.len() != self.num_channels {
             return Err(DspError::LengthMismatch {
-                expected: self.rings.len(),
+                expected: self.num_channels,
                 actual: out.len(),
             });
         }
-        if !self.frame_ready() {
-            return Err(DspError::InsufficientData {
-                required: self.frame_len + self.pending_discard,
-                available: self.rings[0].available(),
-            });
-        }
-        for (ring, buf) in self.rings.iter_mut().zip(out.iter_mut()) {
-            buf.resize(self.frame_len, 0.0);
-            ring.peek(buf)?;
-        }
-        // Advance by hop; if hop exceeds what is buffered (hop > frame_len streams),
-        // remember the shortfall and discard it as the gap samples arrive.
-        let advance = self.hop.min(self.rings[0].available());
-        for ring in &mut self.rings {
-            ring.skip(advance)?;
-        }
-        self.pending_discard = self.hop - advance;
-        self.next_frame_index += 1;
-        Ok(self.next_frame_index - 1)
+        self.emit_with(|frame, index| {
+            for (buf, ch) in out.iter_mut().zip(frame) {
+                buf.clear();
+                buf.extend_from_slice(ch);
+            }
+            index
+        })
     }
 }
 
@@ -441,6 +527,68 @@ mod tests {
     }
 
     #[test]
+    fn emit_with_lends_the_frame_and_advances_whatever_the_closure_returns() {
+        let signal: Vec<f64> = (0..12).map(|i| i as f64).collect();
+        let mut asm = FrameAssembler::new(1, 8, 4).unwrap();
+        assert!(matches!(
+            asm.emit_with(|_, _| unreachable!("no frame is ready")),
+            Err(DspError::InsufficientData { .. })
+        ));
+        asm.push(&[&signal]).unwrap();
+        // A frame whose processing fails is still consumed...
+        let failed: Result<(), &str> = asm
+            .emit_with(|frame, index| {
+                assert_eq!((frame[0], index), (&signal[0..8], 0));
+                Err("stage failed")
+            })
+            .unwrap();
+        assert!(failed.is_err());
+        assert_eq!(asm.samples_buffered(), 8);
+        // ...and the stream continues with the next frame.
+        let next = asm.emit_with(|frame, index| (frame[0].to_vec(), index));
+        assert_eq!(next.unwrap(), (signal[4..12].to_vec(), 1));
+        assert!(!asm.frame_ready());
+    }
+
+    #[test]
+    fn steady_streaming_slides_the_window_instead_of_growing_it() {
+        // The session's shape: 2048-sample frames, hop 1024, 512-sample chunks.
+        let signal: Vec<f64> = (0..40_000).map(|i| (i as f64 * 0.01).sin()).collect();
+        let mut asm = FrameAssembler::new(2, 2048, 1024).unwrap();
+        let mut got = Vec::new();
+        for chunk in signal.chunks(512) {
+            asm.push(&[chunk, chunk]).unwrap();
+            while asm.frame_ready() {
+                asm.emit_with(|frame, _| {
+                    assert_eq!(frame[0], frame[1]);
+                    got.push(frame[0].to_vec());
+                })
+                .unwrap();
+            }
+            assert_eq!(asm.capacity, 2048 + 1024);
+        }
+        assert_eq!(got, reference_frames(&signal, 2048, 1024));
+        // A larger chunk than any before grows the window once.
+        asm.push(&[&signal[..5000], &signal[..5000]]).unwrap();
+        assert_eq!(asm.capacity, asm.samples_buffered().next_power_of_two());
+    }
+
+    #[test]
+    fn more_than_32_channels_are_lent_in_channel_order() {
+        let mut asm = FrameAssembler::new(40, 4, 4).unwrap();
+        let channels: Vec<Vec<f64>> = (0..40).map(|c| vec![c as f64; 6]).collect();
+        let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
+        asm.push(&views).unwrap();
+        asm.emit_with(|frame, _| {
+            assert_eq!(frame.len(), 40);
+            for (c, ch) in frame.iter().enumerate() {
+                assert_eq!(*ch, [c as f64; 4]);
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn zero_parameters_rejected() {
         assert!(FrameAssembler::new(0, 4, 2).is_err());
         assert!(FrameAssembler::new(1, 0, 2).is_err());
@@ -451,30 +599,48 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The core contract: any chunking of the stream yields frames identical to
-        /// slicing the whole signal at once.
+        /// slicing the whole signal at once, in every channel, whether frames are
+        /// lent (`emit_with`) or copied out (`emit_into`).
         #[test]
         fn chunking_is_invariant(
             signal in prop::collection::vec(-1.0f64..1.0, 0..400),
             cuts in prop::collection::vec(1usize..97, 1..40),
             frame_len in 1usize..33,
             hop in 1usize..49,
+            channels in 1usize..4,
         ) {
-            let mut asm = FrameAssembler::new(1, frame_len, hop).unwrap();
-            let mut got = Vec::new();
-            let mut frame = vec![Vec::new()];
+            let scaled: Vec<Vec<f64>> = (0..channels)
+                .map(|c| signal.iter().map(|x| x * (c + 1) as f64).collect())
+                .collect();
+            let mut asm = FrameAssembler::new(channels, frame_len, hop).unwrap();
+            let mut got = vec![Vec::new(); channels];
+            let mut copied = vec![Vec::new(); channels];
             let mut pos = 0;
             let mut cut_iter = cuts.iter().cycle();
             while pos < signal.len() {
                 let take = (*cut_iter.next().unwrap()).min(signal.len() - pos);
-                asm.push(&[&signal[pos..pos + take]]).unwrap();
+                let chunk: Vec<&[f64]> = scaled.iter().map(|c| &c[pos..pos + take]).collect();
+                asm.push(&chunk).unwrap();
                 pos += take;
                 while asm.frame_ready() {
-                    asm.emit_into(&mut frame).unwrap();
-                    got.push(frame[0].clone());
+                    if asm.next_frame_index().is_multiple_of(2) {
+                        asm.emit_with(|frame, _| {
+                            for (out, ch) in got.iter_mut().zip(frame) {
+                                out.push(ch.to_vec());
+                            }
+                        })
+                        .unwrap();
+                    } else {
+                        asm.emit_into(&mut copied).unwrap();
+                        for (out, ch) in got.iter_mut().zip(&copied) {
+                            out.push(ch.clone());
+                        }
+                    }
                 }
             }
-            let expected = reference_frames(&signal, frame_len, hop);
-            prop_assert_eq!(got, expected);
+            for (c, frames) in got.iter().enumerate() {
+                prop_assert_eq!(frames, &reference_frames(&scaled[c], frame_len, hop));
+            }
         }
     }
 }

@@ -115,8 +115,9 @@ fn hosted_steady_state_serve_path_allocates_nothing() {
     let counter = CountingSink::new();
     let id = host.open_stream(counter.clone()).unwrap();
 
-    // Warm-up: sizes the session's assembler rings, detector and SRP scratch,
-    // and exercises every host path (dispatch, swap recycling, metering).
+    // Warm-up: sizes the session's assembler window and detector scratch, builds
+    // its SRP buffers on the first localized event, and exercises every host
+    // path (dispatch, swap recycling, metering).
     measure(&host, id, &channels, 32);
     assert!(counter.frames() > 0, "warm-up processed no frames");
     assert!(counter.events() > 0, "warm-up fired no events");

@@ -859,6 +859,12 @@ mod tests {
             matches!(err, SslError::InvalidConfig { name: "map", .. }),
             "unexpected error {err}"
         );
+        // The f64 reference path agrees: no pair is dropped silently.
+        let mut scratch = fast.make_reference_scratch();
+        let mut reference = SrpMap::default();
+        fast.compute_map_reference_into(&frame, &mut scratch, &mut reference)
+            .unwrap();
+        assert!(reference.power().iter().all(|p| !p.is_finite()));
     }
 
     #[test]

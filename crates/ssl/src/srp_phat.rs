@@ -227,8 +227,10 @@ impl SrpMap {
 
     /// Exponentially smooths this map towards `new`: every power becomes
     /// `retain · old + (1 − retain) · new`. If this map is empty or on a
-    /// different grid it becomes a copy of `new` (the EMA restarts). In steady
-    /// state — same grid, same length — this performs no heap allocation.
+    /// different grid it becomes a copy of `new` (the EMA restarts), and so
+    /// does every bin whose old power is not finite: one non-finite frame
+    /// costs the map one frame, not the rest of the stream. In steady state —
+    /// same grid, same length — this performs no heap allocation.
     ///
     /// Per-frame SRP maps of tonal sources carry heavy clutter (inter-source
     /// cross-terms, spatial aliasing lobes) that fluctuates in position from
@@ -245,7 +247,11 @@ impl SrpMap {
         }
         let alpha = retain.clamp(0.0, 1.0);
         for (old, &p) in self.power.iter_mut().zip(&new.power) {
-            *old = alpha * *old + (1.0 - alpha) * p;
+            *old = if old.is_finite() {
+                alpha * *old + (1.0 - alpha) * p
+            } else {
+                p
+            };
         }
     }
 
@@ -536,7 +542,13 @@ impl SrpPhat {
             {
                 let c = *a * b.conj();
                 let mag = c.norm();
-                *slot = if mag > 1e-12 { c / mag } else { Complex::ZERO };
+                // A NaN magnitude passes through as NaN, so a non-finite sample
+                // poisons its pairs' maps instead of silently dropping them.
+                *slot = if mag > 1e-12 || mag.is_nan() {
+                    c / mag
+                } else {
+                    Complex::ZERO
+                };
             }
         }
         Ok(())
@@ -774,6 +786,71 @@ mod tests {
         assert!(DoaEstimate::from_map(all_nan).is_none());
         let all_bad = SrpMap::new(az, vec![f64::INFINITY, -f64::NAN, f64::NEG_INFINITY]);
         assert_eq!(all_bad.peak(), None);
+    }
+
+    #[test]
+    fn localize_rejects_a_frame_with_a_nan_sample() {
+        let fs = 16_000.0;
+        let (clean, array) = simulate_static_source(30.0, 18.0, fs, 8192, 6);
+        let mut channels = clean.clone();
+        channels[2][5000] = f64::NAN;
+        let srp = SrpPhat::new(SrpConfig::default(), &array, fs).unwrap();
+        let frame: Vec<&[f64]> = channels.iter().map(|c| &c[4096..6144]).collect();
+        let clean_frame: Vec<&[f64]> = clean.iter().map(|c| &c[4096..6144]).collect();
+        // The PHAT weighting keeps the NaN in every pair with channel 2, and
+        // the pairs without it keep the clean frame's bits.
+        let (mut scratch, mut clean_scratch) = (SrpScratch::new(), SrpScratch::new());
+        srp.cross_spectra_into(&frame, &mut scratch).unwrap();
+        srp.cross_spectra_into(&clean_frame, &mut clean_scratch)
+            .unwrap();
+        let nb = srp.num_bins();
+        for (p, &(i, j)) in srp.grid().pairs().iter().enumerate() {
+            let bins = p * nb..(p + 1) * nb;
+            let (got, want) = (&scratch.cross[bins.clone()], &clean_scratch.cross[bins]);
+            if i == 2 || j == 2 {
+                assert!(
+                    got.iter().all(|c| c.re.is_nan() && c.im.is_nan()),
+                    "pair {p}"
+                );
+            } else {
+                assert!(
+                    got.iter()
+                        .zip(want)
+                        .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
+                            && a.im.to_bits() == b.im.to_bits()),
+                    "pair {p}"
+                );
+            }
+        }
+        // So the map has no finite bin, and localization says so.
+        let map = srp.compute_map(&frame).unwrap();
+        assert!(map.power().iter().all(|p| !p.is_finite()));
+        let err = srp.localize(&frame).unwrap_err();
+        assert!(
+            matches!(err, SslError::InvalidConfig { name: "map", .. }),
+            "unexpected error {err}"
+        );
+        assert!(srp.localize(&clean_frame).is_ok());
+    }
+
+    #[test]
+    fn smooth_from_restarts_each_non_finite_bin() {
+        let az = vec![-90.0, 0.0, 90.0, 180.0];
+        let new = SrpMap::new(az.clone(), vec![2.0, 3.0, 4.0, f64::NAN]);
+        let mut smoothed = SrpMap::new(az, vec![f64::NAN, 1.0, f64::INFINITY, 1.0]);
+        smoothed.smooth_from(&new, 0.75);
+        // Non-finite bins restart from the new map; finite ones keep the EMA,
+        // which carries a NaN in for one frame only.
+        assert_eq!(smoothed.power()[0], 2.0);
+        assert_eq!(smoothed.power()[1], 0.75 * 1.0 + 0.25 * 3.0);
+        assert_eq!(smoothed.power()[2], 4.0);
+        assert!(smoothed.power()[3].is_nan());
+        smoothed.smooth_from(
+            &SrpMap::new(new.azimuths_deg().to_vec(), vec![1.0; 4]),
+            0.75,
+        );
+        assert_eq!(smoothed.power()[3], 1.0);
+        assert!(smoothed.power().iter().all(|p| p.is_finite()));
     }
 
     #[test]
