@@ -188,6 +188,8 @@ impl Manifest {
                         "frame_ready",
                         "emit_with",
                         "emit_into",
+                        // `FrameCountdown`, run by the host per accepted chunk.
+                        "advance",
                     ],
                 ),
                 entry(
@@ -230,7 +232,13 @@ impl Manifest {
                 // are cold control-plane code and allocate by design.
                 entry(
                     "crates/serve/src/host.rs",
-                    &["push_chunk", "schedule", "next_ready", "note_transitions"],
+                    &[
+                        "push_chunk",
+                        "schedule",
+                        "next_ready",
+                        "is_paused",
+                        "note_transitions",
+                    ],
                 ),
                 entry(
                     "crates/serve/src/worker.rs",
@@ -249,7 +257,8 @@ impl Manifest {
                         "pop_swap",
                         "with_views",
                         "len",
-                        "is_empty",
+                        "deferred",
+                        "is_due",
                         "enqueued",
                     ],
                 ),

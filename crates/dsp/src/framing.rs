@@ -367,6 +367,54 @@ impl FrameAssembler {
     }
 }
 
+/// Predicts, from chunk lengths alone, which pushes make a [`FrameAssembler`] with
+/// the same `frame_len` and `hop` emit a frame: `frame_len` samples complete the
+/// first frame, then every `hop` samples complete the next one.
+///
+/// A host that queues chunks in front of an assembler uses it to wake its worker
+/// only for chunks that complete a frame; the others can wait and ride along.
+///
+/// # Example
+///
+/// ```
+/// use ispot_dsp::framing::FrameCountdown;
+///
+/// // 2048-sample frames every 1024 samples, fed 512-sample chunks.
+/// let mut countdown = FrameCountdown::new(2048, 1024);
+/// let completes: Vec<bool> = (0..8).map(|_| countdown.advance(512)).collect();
+/// assert_eq!(completes, [false, false, false, true, false, true, false, true]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameCountdown {
+    /// Samples still missing before the next frame completes; never zero.
+    remaining: usize,
+    hop: usize,
+}
+
+impl FrameCountdown {
+    /// A countdown for a stream that has not seen a sample yet. `frame_len` and
+    /// `hop` must be positive, as [`FrameAssembler::new`] requires.
+    pub fn new(frame_len: usize, hop: usize) -> Self {
+        debug_assert!(frame_len > 0 && hop > 0);
+        FrameCountdown {
+            remaining: frame_len,
+            hop,
+        }
+    }
+
+    /// Counts a chunk of `samples` samples per channel and returns true when it
+    /// completes at least one frame.
+    pub fn advance(&mut self, samples: usize) -> bool {
+        if samples < self.remaining {
+            self.remaining -= samples;
+            return false;
+        }
+        let past = samples - self.remaining;
+        self.remaining = self.hop - past % self.hop;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +688,30 @@ mod tests {
             }
             for (c, frames) in got.iter().enumerate() {
                 prop_assert_eq!(frames, &reference_frames(&scaled[c], frame_len, hop));
+            }
+        }
+
+        /// The countdown flags exactly the pushes on which the assembler emits at
+        /// least one frame, for chunks from one sample up to three frames long.
+        #[test]
+        fn countdown_flags_exactly_the_pushes_that_emit(
+            frame_len in 1usize..65,
+            hop_seed in 0usize..1000,
+            cuts in prop::collection::vec(0usize..1000, 1..60),
+        ) {
+            let hop = 1 + hop_seed % frame_len;
+            let mut asm = FrameAssembler::new(1, frame_len, hop).unwrap();
+            let mut countdown = FrameCountdown::new(frame_len, hop);
+            let mut frame = vec![Vec::new()];
+            for cut in cuts {
+                let len = 1 + cut % (3 * frame_len);
+                asm.push(&[&vec![0.5; len]]).unwrap();
+                let mut emitted = 0;
+                while asm.frame_ready() {
+                    asm.emit_into(&mut frame).unwrap();
+                    emitted += 1;
+                }
+                prop_assert_eq!(countdown.advance(len), emitted > 0);
             }
         }
     }

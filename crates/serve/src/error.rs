@@ -82,6 +82,12 @@ pub enum SubmitError {
     },
     /// The chunk's channels have unequal lengths.
     RaggedChunk,
+    /// The stream's session or sink panicked while processing an earlier
+    /// chunk. The host dropped both and discarded the stream's queued chunks
+    /// (counted in
+    /// [`MetricsSnapshot::chunks_discarded`](crate::MetricsSnapshot::chunks_discarded));
+    /// the stream accepts nothing more, so close it.
+    Quarantined,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -99,6 +105,9 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "chunk has {samples} samples/channel, bound is {max}")
             }
             SubmitError::RaggedChunk => f.write_str("chunk channels have unequal lengths"),
+            SubmitError::Quarantined => {
+                f.write_str("stream quarantined after its session or sink panicked")
+            }
         }
     }
 }
@@ -108,7 +117,8 @@ impl std::error::Error for SubmitError {}
 impl SubmitError {
     /// True for the two transient, by-design rejections (backpressure and
     /// intake shedding) a well-behaved producer retries; false for caller bugs
-    /// (wrong shape, stale id) that retrying can never fix.
+    /// (wrong shape, stale id) and a quarantined stream, which retrying can
+    /// never fix.
     pub fn is_transient(&self) -> bool {
         matches!(self, SubmitError::Busy { .. } | SubmitError::Shed)
     }
@@ -124,6 +134,8 @@ mod tests {
         assert!(SubmitError::Shed.is_transient());
         assert!(SubmitError::Busy { queued: 1 }.is_transient());
         assert!(!SubmitError::UnknownStream.is_transient());
+        assert!(!SubmitError::Quarantined.is_transient());
+        assert!(SubmitError::Quarantined.to_string().contains("panicked"));
         assert!(!SubmitError::ChannelMismatch {
             expected: 4,
             actual: 2

@@ -11,20 +11,46 @@
 //! # Dispatch protocol
 //!
 //! Work distribution is a FIFO ready queue of slot indices plus one
-//! `scheduled` flag per slot. The queue, the pause flag and the count of idle
-//! workers sit behind one dispatch lock with one condvar:
+//! `scheduled` flag per slot. The queue and the count of idle workers sit
+//! behind one dispatch lock with one condvar; the pause and shutdown flags are
+//! atomics written under that lock, so a worker that checks them there cannot
+//! miss the wake-up that follows a change:
 //!
-//! * A producer that makes a ring non-empty CASes the slot's `scheduled` flag
-//!   `false → true`; only the winner enqueues the slot index. At most one token
-//!   per slot can exist, so the queue (preallocated to `max_sessions`) never
-//!   grows. The producer wakes one worker only if one is waiting.
+//! * A worker is woken per frame, not per chunk. The ring runs the session's
+//!   frame countdown (`frame_len` samples to the first frame, then `hop` per
+//!   frame) over every accepted chunk, so a push knows whether its chunk
+//!   completes a frame. Only a push that leaves the ring *due* — a queued
+//!   chunk completes a frame, or more than ⌊`ring_capacity`/4⌋ chunks are
+//!   queued — schedules the slot. Any other chunk is *deferred*: it waits in
+//!   the ring without a wake-up and is drained, in order, with the chunk that
+//!   completes the frame.
+//! * Scheduling CASes the slot's `scheduled` flag `false → true`; only the
+//!   winner enqueues the slot index. At most one token per slot can exist, so
+//!   the queue (preallocated to `max_sessions`) never grows. The producer
+//!   wakes one worker only if one is waiting.
 //! * An idle worker blocks on the condvar until a token arrives, the pool is
 //!   resumed or the host shuts down — no polling.
 //! * The worker that receives a token owns the session exclusively while it
 //!   drains (events of one stream are always delivered in order, from one
-//!   thread at a time). When it stops draining it clears `scheduled` **and then
-//!   re-checks the ring**: if chunks raced in after the last pop, it re-CASes
-//!   and re-enqueues, so no chunk is ever stranded.
+//!   thread at a time), deferred chunks included. When it stops draining it
+//!   clears `scheduled` **and then re-checks the ring**: if a due chunk raced
+//!   in after the last pop, it re-CASes and re-enqueues, so no frame is ever
+//!   stranded.
+//! * Deferred chunks are never lost: [`SessionHost::wait_idle`] schedules
+//!   every slot that holds them, and keeps doing so while it polls;
+//!   [`SessionHost::close_stream`] counts them in
+//!   [`MetricsSnapshot::chunks_discarded`] like any other queued chunk. They
+//!   count in the queue depth the load controller watches; with at most a
+//!   quarter ring deferred per stream, deferral alone stays below the default
+//!   restore watermark (`shed_low` = 0.35).
+//!
+//! # Fault containment
+//!
+//! A panic in a stream's session or sink is caught around the chunk that
+//! raised it. The stream is quarantined: its session and sink are dropped,
+//! its queued chunks are discarded (counted), later pushes return
+//! [`SubmitError::Quarantined`], and the worker goes on serving the other
+//! streams.
 //!
 //! # Backpressure and degradation
 //!
@@ -44,6 +70,7 @@ use crate::ring::{ChunkRing, MAX_CHANNELS};
 use crate::worker;
 use ispot_core::api::{Engine, Session};
 use ispot_core::sink::EventSink;
+use ispot_dsp::framing::FrameCountdown;
 use ispot_obs::{MetricsRegistry, Span, SpanRing, TickSource};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -153,6 +180,10 @@ pub struct StreamId {
 pub struct StreamStats {
     /// Chunks queued in the ingestion ring right now.
     pub queued: usize,
+    /// Queued chunks not yet due: accepted after the last chunk that completes
+    /// a frame, while they fill at most a quarter of the ring. No worker is
+    /// woken for them (see the [dispatch protocol](self)). At most `queued`.
+    pub deferred: usize,
     /// Chunks accepted since the stream opened.
     pub chunks_in: u64,
     /// Chunks rejected with [`SubmitError::Busy`].
@@ -168,6 +199,9 @@ pub struct StreamStats {
     /// Whether the last processed chunk ran with localization shed — the
     /// per-session view of the host's degrade decisions.
     pub localization_shed: bool,
+    /// Whether the stream was quarantined after its session or sink panicked;
+    /// pushes then return [`SubmitError::Quarantined`].
+    pub quarantined: bool,
 }
 
 /// Per-slot counters (relaxed atomics; reset when the slot is reopened).
@@ -180,6 +214,8 @@ pub(crate) struct SlotStats {
     pub(crate) events: AtomicU64,
     pub(crate) errors: AtomicU64,
     pub(crate) shed_applied: AtomicBool,
+    /// Set under the ring lock, and read there by `push_chunk`.
+    pub(crate) quarantined: AtomicBool,
 }
 
 impl SlotStats {
@@ -191,11 +227,13 @@ impl SlotStats {
         self.events.store(0, Ordering::Relaxed);
         self.errors.store(0, Ordering::Relaxed);
         self.shed_applied.store(false, Ordering::Relaxed);
+        self.quarantined.store(false, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self, queued: usize) -> StreamStats {
+    pub(crate) fn snapshot(&self, queued: usize, deferred: usize) -> StreamStats {
         StreamStats {
             queued,
+            deferred,
             chunks_in: self.chunks_in.load(Ordering::Relaxed),
             chunks_busy: self.chunks_busy.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
@@ -203,6 +241,7 @@ impl SlotStats {
             events: self.events.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             localization_shed: self.shed_applied.load(Ordering::Relaxed),
+            quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
 }
@@ -248,8 +287,6 @@ pub(crate) struct Slot {
 struct Dispatch {
     /// Slot tokens ready for a worker, FIFO; at most one per slot.
     ready: VecDeque<u32>,
-    /// Workers take no tokens while set (tests/benches build load paused).
-    paused: bool,
     /// Workers blocked on the condvar; producers skip the wake-up when zero.
     waiting: usize,
 }
@@ -266,6 +303,10 @@ pub(crate) struct HostInner {
     /// Signalled when a token is queued, the pool resumes or the host shuts
     /// down.
     wakeup: Condvar,
+    /// Workers take no tokens while set (tests/benches build load paused).
+    /// Written under the dispatch lock, like `shutdown`; draining workers read
+    /// it per chunk without taking that lock.
+    paused: AtomicBool,
     pub(crate) load: LoadController,
     /// The unified registry every host metric is registered in; rendered by
     /// the `/metrics` endpoint.
@@ -289,7 +330,7 @@ impl HostInner {
     }
 
     pub(crate) fn is_paused(&self) -> bool {
-        relock(&self.dispatch).paused
+        self.paused.load(Ordering::Acquire)
     }
 
     /// Requests a drain of `slot_idx`: CASes the slot's `scheduled` flag and,
@@ -325,7 +366,7 @@ impl HostInner {
             if self.shutting_down() {
                 return None;
             }
-            if !dispatch.paused {
+            if !self.is_paused() {
                 if let Some(slot_idx) = dispatch.ready.pop_front() {
                     return Some(slot_idx);
                 }
@@ -342,8 +383,50 @@ impl HostInner {
     /// Sets the pause flag under the dispatch lock and wakes every waiting
     /// worker to re-check it.
     fn set_paused(&self, paused: bool) {
-        relock(&self.dispatch).paused = paused;
+        {
+            let _dispatch = relock(&self.dispatch);
+            self.paused.store(paused, Ordering::Release);
+        }
         self.wakeup.notify_all();
+    }
+
+    /// Schedules every slot that holds deferred chunks, so they drain without
+    /// waiting for a chunk that completes a frame.
+    fn flush_deferred(&self) {
+        for (slot_idx, slot) in self.slots.iter().enumerate() {
+            let deferred = relock(&slot.ring)
+                .as_ref()
+                .is_some_and(|ring| ring.deferred() > 0);
+            if deferred {
+                self.schedule(slot_idx);
+            }
+        }
+    }
+
+    /// Quarantines the stream opened under `generation` after its session or
+    /// sink panicked: later pushes are refused, and its queued chunks are
+    /// discarded, counted and settled in the load accounting. A stream closed
+    /// meanwhile (its generation moved on) has had its chunks counted by the
+    /// close.
+    pub(crate) fn quarantine(&self, slot: &Slot, generation: u32) {
+        let discarded = {
+            let mut guard = relock(&slot.ring);
+            if slot.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            slot.stats.quarantined.store(true, Ordering::Relaxed);
+            guard.as_mut().map_or(0, ChunkRing::clear)
+        };
+        self.discard(discarded);
+        self.note_transitions();
+    }
+
+    /// Accounts for `count` accepted chunks that will never be processed.
+    fn discard(&self, count: usize) {
+        for _ in 0..count {
+            self.load.on_complete();
+        }
+        self.metrics.chunks_discarded.add(count as u64);
     }
 
     /// Applies any pending degrade transition, counts it and publishes it on
@@ -458,10 +541,10 @@ impl SessionHost {
             free: Mutex::new(free),
             dispatch: Mutex::new(Dispatch {
                 ready: VecDeque::with_capacity(config.max_sessions),
-                paused: config.start_paused,
                 waiting: 0,
             }),
             wakeup: Condvar::new(),
+            paused: AtomicBool::new(config.start_paused),
             load: LoadController::new(config.policy),
             registry,
             metrics,
@@ -525,10 +608,12 @@ impl SessionHost {
             session,
             sink: Box::new(sink),
         });
+        let pipeline = inner.engine.config();
         *relock(&slot.ring) = Some(ChunkRing::new(
             inner.config.ring_capacity,
             inner.engine.num_channels(),
             inner.config.max_chunk_len,
+            FrameCountdown::new(pipeline.frame_len, pipeline.hop),
         ));
         inner.load.add_capacity(inner.config.ring_capacity);
         inner.metrics.sessions_opened.incr();
@@ -546,9 +631,10 @@ impl SessionHost {
     /// # Errors
     ///
     /// [`SubmitError::Busy`] (ring full) and [`SubmitError::Shed`] (host past
-    /// its intake watermark) are transient by design; the remaining variants
-    /// are caller bugs (stale id, wrong shape). In every case the chunk was not
-    /// enqueued.
+    /// its intake watermark) are transient by design;
+    /// [`SubmitError::Quarantined`] means the stream's session or sink
+    /// panicked; the remaining variants are caller bugs (stale id, wrong
+    /// shape). In every case the chunk was not enqueued.
     pub fn push_chunk(&self, id: StreamId, chunk: &[&[f64]]) -> Result<(), SubmitError> {
         let inner = &self.inner;
         let slot = inner
@@ -578,7 +664,7 @@ impl SessionHost {
             inner.metrics.chunks_shed.incr();
             return Err(SubmitError::Shed);
         }
-        {
+        let due = {
             let mut guard = relock(&slot.ring);
             // Generation is re-checked under the ring lock: close bumps it
             // under the same lock, so a stale id can never reach a recycled
@@ -589,24 +675,33 @@ impl SessionHost {
             let Some(ring) = guard.as_mut() else {
                 return Err(SubmitError::UnknownStream);
             };
+            // Set under this lock together with the ring's last clear.
+            if slot.stats.quarantined.load(Ordering::Relaxed) {
+                return Err(SubmitError::Quarantined);
+            }
             if !ring.push_planar(chunk, Instant::now()) {
                 inner.metrics.chunks_busy.incr();
                 slot.stats.chunks_busy.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Busy { queued: ring.len() });
             }
-        }
+            ring.is_due()
+        };
         inner.metrics.chunks_in.incr();
         slot.stats.chunks_in.fetch_add(1, Ordering::Relaxed);
         inner.load.on_enqueue();
         inner.note_transitions();
-        inner.schedule(id.slot as usize);
+        // A deferred chunk costs no wake-up: it drains with the chunk that
+        // completes the frame, or at `wait_idle`.
+        if due {
+            inner.schedule(id.slot as usize);
+        }
         Ok(())
     }
 
-    /// Closes a stream: discards undelivered chunks (counted in
-    /// [`MetricsSnapshot::chunks_discarded`]), waits for any in-flight chunk of
-    /// this stream to finish, drops the session and sink, and recycles the
-    /// slot. Returns the stream's final statistics.
+    /// Closes a stream: discards undelivered chunks, deferred ones included
+    /// (counted in [`MetricsSnapshot::chunks_discarded`]), waits for any
+    /// in-flight chunk of this stream to finish, drops the session and sink,
+    /// and recycles the slot. Returns the stream's final statistics.
     ///
     /// # Errors
     ///
@@ -626,10 +721,7 @@ impl SessionHost {
             slot.generation.fetch_add(1, Ordering::AcqRel);
             guard.take().map_or(0, |mut ring| ring.clear())
         };
-        for _ in 0..discarded {
-            inner.load.on_complete();
-        }
-        inner.metrics.chunks_discarded.add(discarded as u64);
+        inner.discard(discarded);
         // Blocks until the worker currently processing this stream (if any)
         // releases the session lock — close never races a live drain.
         *relock(&slot.session) = None;
@@ -637,7 +729,7 @@ impl SessionHost {
         inner.load.remove_capacity(inner.config.ring_capacity);
         inner.note_transitions();
         inner.metrics.sessions_closed.incr();
-        let stats = slot.stats.snapshot(0);
+        let stats = slot.stats.snapshot(0, 0);
         relock(&inner.free).push(id.slot);
         Ok(stats)
     }
@@ -658,8 +750,8 @@ impl SessionHost {
         if slot.generation.load(Ordering::Acquire) != id.generation {
             return Err(ServeError::UnknownStream);
         }
-        let queued = guard.as_ref().ok_or(ServeError::UnknownStream)?.len();
-        Ok(slot.stats.snapshot(queued))
+        let ring = guard.as_ref().ok_or(ServeError::UnknownStream)?;
+        Ok(slot.stats.snapshot(ring.len(), ring.deferred()))
     }
 
     /// Snapshots every host counter plus the latency quantiles. Reads relaxed
@@ -683,6 +775,7 @@ impl SessionHost {
             sheds: m.sheds.get(),
             restores: m.restores.get(),
             errors: m.errors.get(),
+            worker_panics: m.worker_panics.get(),
             degrade_level: inner.load.level(),
             latency: m.latency.snapshot(),
         }
@@ -754,12 +847,15 @@ impl SessionHost {
     }
 
     /// Blocks until every accepted chunk has been fully processed (or
-    /// discarded by a close), polling the aggregate queue depth. Returns
-    /// `false` on timeout — which is guaranteed if the pool is paused and
-    /// chunks are queued.
+    /// discarded by a close), polling the aggregate queue depth. Deferred
+    /// chunks, which no completed frame has drained yet, are scheduled on
+    /// every poll, so they are processed too, also when producers keep pushing
+    /// meanwhile. Returns `false` on timeout — which is guaranteed if the pool
+    /// is paused and chunks are queued.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while self.inner.load.in_flight() > 0 {
+            self.inner.flush_deferred();
             if Instant::now() >= deadline {
                 return false;
             }

@@ -341,7 +341,7 @@ fn render_snapshot_json(inner: &Arc<HostInner>) -> String {
     );
     let _ = write!(
         out,
-        "\"sessions_open\":{},\"sessions_opened\":{},\"sessions_closed\":{},\"chunks_in\":{},\"chunks_busy\":{},\"chunks_shed\":{},\"chunks_discarded\":{},\"queue_depth\":{},\"frames\":{},\"shed_frames\":{},\"events\":{},\"sheds\":{},\"restores\":{},\"errors\":{},\"latency\":",
+        "\"sessions_open\":{},\"sessions_opened\":{},\"sessions_closed\":{},\"chunks_in\":{},\"chunks_busy\":{},\"chunks_shed\":{},\"chunks_discarded\":{},\"queue_depth\":{},\"frames\":{},\"shed_frames\":{},\"events\":{},\"sheds\":{},\"restores\":{},\"errors\":{},\"worker_panics\":{},\"latency\":",
         m.sessions_open.get(),
         m.sessions_opened.get(),
         m.sessions_closed.get(),
@@ -356,6 +356,7 @@ fn render_snapshot_json(inner: &Arc<HostInner>) -> String {
         m.sheds.get(),
         m.restores.get(),
         m.errors.get(),
+        m.worker_panics.get(),
     );
     write_latency(&mut out, &m.latency.snapshot());
     out.push_str("},\"stages\":{");
@@ -369,20 +370,21 @@ fn render_snapshot_json(inner: &Arc<HostInner>) -> String {
     out.push_str("},\"streams\":[");
     let mut first = true;
     for (idx, slot) in inner.slots.iter().enumerate() {
-        let queued = match relock(&slot.ring).as_ref() {
-            Some(ring) => ring.len(),
+        let (queued, deferred) = match relock(&slot.ring).as_ref() {
+            Some(ring) => (ring.len(), ring.deferred()),
             None => continue,
         };
-        let stats = slot.stats.snapshot(queued);
+        let stats = slot.stats.snapshot(queued, deferred);
         if !first {
             out.push(',');
         }
         first = false;
         let _ = write!(
             out,
-            "{{\"slot\":{idx},\"generation\":{},\"queued\":{},\"chunks_in\":{},\"chunks_busy\":{},\"frames\":{},\"shed_frames\":{},\"events\":{},\"errors\":{},\"localization_shed\":{}}}",
+            "{{\"slot\":{idx},\"generation\":{},\"queued\":{},\"deferred\":{},\"chunks_in\":{},\"chunks_busy\":{},\"frames\":{},\"shed_frames\":{},\"events\":{},\"errors\":{},\"localization_shed\":{},\"quarantined\":{}}}",
             slot.generation.load(Ordering::Acquire),
             stats.queued,
+            stats.deferred,
             stats.chunks_in,
             stats.chunks_busy,
             stats.frames,
@@ -390,6 +392,7 @@ fn render_snapshot_json(inner: &Arc<HostInner>) -> String {
             stats.events,
             stats.errors,
             stats.localization_shed,
+            stats.quarantined,
         );
     }
     out.push_str("],\"latest_event\":");

@@ -12,11 +12,16 @@
 //!   dispatch runs over one ready queue holding at most one token per stream,
 //!   behind one lock whose condvar idle workers block on. Memory is sized at
 //!   construction and never grows.
+//! * **One wake-up per frame.** A chunk that completes no frame of its
+//!   stream's session waits in the ring (at most a quarter of it) and is
+//!   processed, in order, with the chunk that does
+//!   ([`StreamStats::deferred`]); [`SessionHost::wait_idle`] drains the rest.
 //! * **Typed backpressure, nothing silent.** A full ring returns
 //!   [`SubmitError::Busy`]; an overloaded host returns [`SubmitError::Shed`].
 //!   The producer always learns the fate of its chunk — the host never blocks
 //!   the caller and never drops audio it accepted (except at explicit stream
-//!   close, where discards are counted).
+//!   close, or when a panicking sink or session quarantines its stream
+//!   ([`SubmitError::Quarantined`]); both count their discards).
 //! * **Graceful degradation.** Past a high-watermark queue depth the host
 //!   sheds *localization* before detection ([`Session::set_localization_shed`]
 //!   — events keep class and confidence, lose azimuth), and past a second

@@ -52,6 +52,8 @@ pub struct HostMetrics {
     pub(crate) restores: Counter,
     /// Session-level pipeline errors surfaced while processing a chunk.
     pub(crate) errors: Counter,
+    /// Panics caught in a session or sink; each quarantined its stream.
+    pub(crate) worker_panics: Counter,
     /// Submit-to-event-delivery latency across all streams.
     pub(crate) latency: LatencyHistogram,
     /// Streams currently open (computed; refreshed before scrapes).
@@ -108,6 +110,10 @@ impl HostMetrics {
                 "ispot_errors_total",
                 "Pipeline errors surfaced while processing chunks",
             ),
+            worker_panics: registry.counter(
+                "ispot_worker_panics_total",
+                "Panics caught in a stream's session or sink (each quarantines its stream)",
+            ),
             latency: registry.histogram(
                 "ispot_event_latency_seconds",
                 "Submit-to-event-delivery latency",
@@ -157,6 +163,9 @@ pub struct MetricsSnapshot {
     pub restores: u64,
     /// Session-level pipeline errors surfaced while processing chunks.
     pub errors: u64,
+    /// Panics caught in a stream's session or sink; each quarantined its
+    /// stream.
+    pub worker_panics: u64,
     /// Current degrade level of the load controller.
     pub degrade_level: crate::load::DegradeLevel,
     /// Submit-to-event-delivery latency (quantiles `None` until the first

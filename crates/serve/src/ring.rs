@@ -9,7 +9,16 @@
 //! buffer of identical capacity ([`ChunkRing::pop_swap`]), so the steady-state
 //! data plane moves pointers, never allocates, and a full ring is reported to
 //! the producer as typed backpressure instead of blocking or growing.
+//!
+//! The ring also decides when its stream is worth a worker's wake-up. It runs
+//! the stream's [`FrameCountdown`] over every accepted chunk, so it knows which
+//! queued chunks complete a frame of the session behind it. A chunk that
+//! completes none is *deferred*: it waits, costing no wake-up, until a chunk
+//! that completes a frame drains it — or until the ring holds more than a
+//! quarter of its capacity, so deferral never brings a producer closer to
+//! [`SubmitError::Busy`](crate::SubmitError::Busy) than a quarter ring.
 
+use ispot_dsp::framing::FrameCountdown;
 use std::time::Instant;
 
 /// One preallocated chunk slot: planar samples at a fixed per-channel stride,
@@ -36,12 +45,24 @@ pub(crate) struct ChunkRing {
     len: usize,
     channels: usize,
     stride: usize,
+    /// Samples until the stream's session completes its next frame, advanced
+    /// by every accepted chunk.
+    countdown: FrameCountdown,
+    /// Chunks accepted since the last one that completed a frame. The newest
+    /// `min(since_frame, len)` queued chunks are the deferred ones.
+    since_frame: usize,
 }
 
 impl ChunkRing {
     /// Allocates `capacity` slots of `channels × max_chunk_len` samples. This
-    /// is the *only* allocation the ring ever performs.
-    pub(crate) fn new(capacity: usize, channels: usize, max_chunk_len: usize) -> Self {
+    /// is the *only* allocation the ring ever performs. `countdown` is the
+    /// framing of the session the ring feeds, before its first sample.
+    pub(crate) fn new(
+        capacity: usize,
+        channels: usize,
+        max_chunk_len: usize,
+        countdown: FrameCountdown,
+    ) -> Self {
         let now = Instant::now();
         let mut slots = Vec::with_capacity(capacity);
         for _ in 0..capacity {
@@ -57,6 +78,8 @@ impl ChunkRing {
             len: 0,
             channels,
             stride: max_chunk_len,
+            countdown,
+            since_frame: 0,
         }
     }
 
@@ -65,14 +88,27 @@ impl ChunkRing {
         self.len
     }
 
-    /// True when no chunk is queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Queued chunks not yet due: the ones accepted after the last chunk that
+    /// completes a frame, as long as they occupy at most a quarter of the
+    /// ring. Beyond that bound every queued chunk is due.
+    pub(crate) fn deferred(&self) -> usize {
+        if self.len > self.slots.len() / 4 {
+            0
+        } else {
+            self.since_frame.min(self.len)
+        }
+    }
+
+    /// True when the queue is worth a worker's wake-up: a queued chunk
+    /// completes a frame, or more than a quarter of the ring is occupied.
+    pub(crate) fn is_due(&self) -> bool {
+        self.len > self.deferred()
     }
 
     /// Copies a planar chunk (`chunk[channel][sample]`) into the next free
-    /// slot, stamping it with `enqueued`. Returns `false` — accepting nothing —
-    /// when the ring is full; the caller surfaces that as
+    /// slot, stamping it with `enqueued`, and advances the frame countdown.
+    /// Returns `false` — accepting nothing, counting nothing — when the ring is
+    /// full; the caller surfaces that as
     /// [`SubmitError::Busy`](crate::SubmitError::Busy). Shape validation
     /// (channel count, equal lengths, stride bound) is the caller's job; this
     /// debug-asserts it.
@@ -93,6 +129,11 @@ impl ChunkRing {
         slot.samples = samples;
         slot.enqueued = enqueued;
         self.len += 1;
+        if self.countdown.advance(samples) {
+            self.since_frame = 0;
+        } else {
+            self.since_frame += 1;
+        }
         true
     }
 
@@ -186,9 +227,14 @@ mod tests {
         chunk.iter().map(|c| c.as_slice()).collect()
     }
 
+    /// A countdown no test chunk reaches, for tests about storage alone.
+    fn never() -> FrameCountdown {
+        FrameCountdown::new(usize::MAX, 1)
+    }
+
     #[test]
     fn fifo_order_with_wraparound_and_varying_lengths() {
-        let mut ring = ChunkRing::new(3, 2, 4);
+        let mut ring = ChunkRing::new(3, 2, 4, never());
         let mut out = ChunkBuf::new(2, 4);
         let now = Instant::now();
         // Fill, drain one, push one more — forces head wraparound.
@@ -215,12 +261,12 @@ mod tests {
                 (vec![7.0, 8.0], vec![9.0, 11.0]),
             ]
         );
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
     }
 
     #[test]
     fn full_ring_rejects_without_overwriting() {
-        let mut ring = ChunkRing::new(2, 1, 4);
+        let mut ring = ChunkRing::new(2, 1, 4, never());
         let now = Instant::now();
         assert!(ring.push_planar(&[&[1.0]], now));
         assert!(ring.push_planar(&[&[2.0]], now));
@@ -237,7 +283,7 @@ mod tests {
 
     #[test]
     fn swap_recycles_storage_without_reallocating() {
-        let mut ring = ChunkRing::new(2, 2, 8);
+        let mut ring = ChunkRing::new(2, 2, 8, never());
         let mut out = ChunkBuf::new(2, 8);
         let now = Instant::now();
         let before: Vec<usize> = ring.slots.iter().map(|s| s.data.capacity()).collect();
@@ -253,19 +299,19 @@ mod tests {
 
     #[test]
     fn clear_reports_dropped_chunks() {
-        let mut ring = ChunkRing::new(4, 1, 2);
+        let mut ring = ChunkRing::new(4, 1, 2, never());
         let now = Instant::now();
         for _ in 0..3 {
             assert!(ring.push_planar(&[&[0.5, 0.5]], now));
         }
         assert_eq!(ring.clear(), 3);
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         assert_eq!(ring.clear(), 0);
     }
 
     #[test]
     fn enqueue_timestamps_ride_along() {
-        let mut ring = ChunkRing::new(2, 1, 2);
+        let mut ring = ChunkRing::new(2, 1, 2, never());
         let mut out = ChunkBuf::new(1, 2);
         let t0 = Instant::now();
         assert!(ring.push_planar(&[&[1.0]], t0));
@@ -276,5 +322,77 @@ mod tests {
         assert_eq!(out.enqueued(), t0);
         assert!(ring.pop_swap(&mut out));
         assert_eq!(out.enqueued(), t1);
+    }
+
+    #[test]
+    fn chunks_that_complete_no_frame_are_deferred_until_one_does() {
+        // Frames of 8 samples every 4, fed 2-sample chunks: the 4th chunk
+        // completes frame 0, then every 2nd chunk completes the next one.
+        // The ring's quarter bound (8) stays out of the way.
+        let mut ring = ChunkRing::new(32, 1, 2, FrameCountdown::new(8, 4));
+        let mut out = ChunkBuf::new(1, 2);
+        let now = Instant::now();
+        for queued in 1..=3 {
+            assert!(ring.push_planar(&[&[0.0, 0.0]], now));
+            assert_eq!((ring.len(), ring.deferred()), (queued, queued));
+            assert!(!ring.is_due());
+        }
+        assert!(ring.push_planar(&[&[0.0, 0.0]], now));
+        assert_eq!((ring.len(), ring.deferred()), (4, 0));
+        assert!(ring.is_due());
+        // A chunk after the frame is deferred again; the queue stays due
+        // while the frame's chunks are queued ahead of it.
+        assert!(ring.push_planar(&[&[0.0, 0.0]], now));
+        assert_eq!(ring.deferred(), 1);
+        assert!(ring.is_due());
+        for _ in 0..4 {
+            assert!(ring.pop_swap(&mut out));
+        }
+        assert_eq!((ring.len(), ring.deferred()), (1, 1));
+        assert!(!ring.is_due());
+        // Drained early (a flush), the deferred chunk leaves nothing behind.
+        assert!(ring.pop_swap(&mut out));
+        assert_eq!((ring.len(), ring.deferred()), (0, 0));
+        assert!(ring.push_planar(&[&[0.0, 0.0]], now));
+        assert_eq!(ring.deferred(), 0, "the 6th chunk completes frame 1");
+    }
+
+    #[test]
+    fn more_than_a_quarter_ring_is_due_without_a_frame() {
+        let mut ring = ChunkRing::new(8, 1, 1, never());
+        let now = Instant::now();
+        for _ in 0..2 {
+            assert!(ring.push_planar(&[&[0.0]], now));
+            assert!(!ring.is_due());
+        }
+        assert!(ring.push_planar(&[&[0.0]], now));
+        assert_eq!(ring.deferred(), 0);
+        assert!(ring.is_due(), "3 of 8 slots is over the quarter bound");
+        // Below four slots the bound is zero: nothing is ever deferred.
+        let mut small = ChunkRing::new(3, 1, 1, never());
+        assert!(small.push_planar(&[&[0.0]], now));
+        assert!(small.is_due());
+    }
+
+    #[test]
+    fn rejected_chunks_do_not_advance_the_countdown() {
+        let mut ring = ChunkRing::new(4, 1, 4, FrameCountdown::new(4, 4));
+        let mut out = ChunkBuf::new(1, 4);
+        let now = Instant::now();
+        assert!(ring.push_planar(&[&[0.0; 2]], now));
+        for _ in 0..3 {
+            assert!(ring.push_planar(&[&[]], now));
+        }
+        assert!(
+            !ring.push_planar(&[&[0.0; 2]], now),
+            "full ring must reject"
+        );
+        while ring.pop_swap(&mut out) {}
+        // Only 2 of the 4 samples of frame 0 were accepted so far.
+        assert!(ring.push_planar(&[&[0.0]], now));
+        assert_eq!(ring.deferred(), 1);
+        assert!(ring.pop_swap(&mut out));
+        assert!(ring.push_planar(&[&[0.0]], now));
+        assert_eq!(ring.deferred(), 0);
     }
 }

@@ -13,6 +13,9 @@
 //! feeds the session, which reuses its own scratch. Metering is relaxed
 //! atomics.
 //!
+//! A panic in the session or the sink is caught around the chunk that raised
+//! it: the worker quarantines that stream and keeps serving the others.
+//!
 //! [`ChunkRing::pop_swap`]: crate::ring::ChunkRing::pop_swap
 
 use crate::feed::EventFeed;
@@ -20,10 +23,11 @@ use crate::host::{HostInner, SessionState, Slot};
 use crate::load::DegradeLevel;
 use crate::metrics::HostMetrics;
 use crate::relock;
-use crate::ring::ChunkBuf;
+use crate::ring::{ChunkBuf, ChunkRing};
 use ispot_core::events::PerceptionEvent;
 use ispot_core::sink::EventSink;
 use ispot_core::stages::FrameOutcome;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -36,10 +40,11 @@ pub(crate) fn worker_loop(inner: &HostInner) {
     }
 }
 
-/// Drains one stream's ring, up to one ring's worth of chunks per token so a
-/// single busy stream cannot starve the others, then executes the
-/// unschedule-recheck handshake: clear `scheduled`, re-check the ring, and
-/// re-enqueue if chunks raced in after the last pop.
+/// Drains one stream's ring, deferred chunks included, up to one ring's worth
+/// of chunks per token so a single busy stream cannot starve the others, then
+/// executes the unschedule-recheck handshake: clear `scheduled`, re-check the
+/// ring, and re-enqueue if it is due again — a chunk that completes a frame
+/// raced in after the last pop, or the ring is over its quarter bound.
 fn drain_slot(inner: &HostInner, slot_idx: usize, buf: &mut ChunkBuf) {
     let slot = &inner.slots[slot_idx];
     for _ in 0..inner.config.ring_capacity {
@@ -55,14 +60,15 @@ fn drain_slot(inner: &HostInner, slot_idx: usize, buf: &mut ChunkBuf) {
         inner.note_transitions();
     }
     slot.scheduled.store(false, Ordering::Release);
-    let nonempty = relock(&slot.ring).as_ref().is_some_and(|r| !r.is_empty());
-    if nonempty {
+    let due = relock(&slot.ring).as_ref().is_some_and(ChunkRing::is_due);
+    if due {
         inner.schedule(slot_idx);
     }
 }
 
 /// Runs one chunk through the slot's session under the current degrade level,
-/// delivering events through the stream's sink via the metering wrapper.
+/// delivering events through the stream's sink via the metering wrapper. A
+/// panic out of the session or the sink quarantines the stream.
 fn process_chunk(inner: &HostInner, slot: &Slot, slot_idx: usize, buf: &ChunkBuf) {
     let shed = inner.load.level() >= DegradeLevel::ShedLocalization;
     let mut guard = relock(&slot.session);
@@ -77,6 +83,7 @@ fn process_chunk(inner: &HostInner, slot: &Slot, slot_idx: usize, buf: &ChunkBuf
     }
     slot.stats.shed_applied.store(shed, Ordering::Relaxed);
     let SessionState { session, sink } = state;
+    let generation = slot.generation.load(Ordering::Acquire);
     let mut metered = MeteredSink {
         sink: sink.as_mut(),
         enqueued: buf.enqueued(),
@@ -84,9 +91,23 @@ fn process_chunk(inner: &HostInner, slot: &Slot, slot_idx: usize, buf: &ChunkBuf
         feed: &inner.feed,
         slot_events: &slot.stats.events,
         slot: slot_idx as u32,
-        generation: slot.generation.load(Ordering::Acquire),
+        generation,
     };
-    match buf.with_views(|views| session.push_chunk_with(views, &mut metered)) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        buf.with_views(|views| session.push_chunk_with(views, &mut metered))
+    }));
+    let Ok(result) = outcome else {
+        // The session or sink may be mid-update; neither runs again. Both are
+        // dropped outside the session lock, and a panic in their drop is
+        // contained as well.
+        let state = guard.take();
+        drop(guard);
+        let _ = catch_unwind(AssertUnwindSafe(move || drop(state)));
+        inner.metrics.worker_panics.incr();
+        inner.quarantine(slot, generation);
+        return;
+    };
+    match result {
         Ok(frames) => {
             let frames = frames as u64;
             inner.metrics.frames.add(frames);

@@ -5,7 +5,7 @@
 
 use ispot_core::prelude::*;
 use ispot_serve::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const FS: f64 = 16_000.0;
 
@@ -267,27 +267,43 @@ fn drops_within(host: SessionHost, limit: Duration) -> bool {
     done
 }
 
-/// The dispatch queue's two wake-ups: a push wakes an idle worker, and
-/// dropping the host wakes blocked workers, paused or not. Losing either
-/// would hang rather than fail, so both are bounded here.
+/// The dispatch queue's two wake-ups: a push that completes a frame wakes an
+/// idle worker, and dropping the host wakes blocked workers, paused or not.
+/// Losing either would hang rather than fail, so both are bounded here. The
+/// first is checked on the stream's frame count, not with `wait_idle`, whose
+/// flush of deferred chunks would schedule the slot itself and hide a lost
+/// wake-up.
 #[test]
 fn blocked_workers_wake_for_a_push_and_for_shutdown() {
-    // Four idle workers, blocked on an empty ready queue for a while.
+    // Four idle workers, blocked on an empty ready queue for a while. A ring
+    // of 16 defers up to 4 chunks, so the three chunks before the one that
+    // completes frame 0 wake nobody.
     let host = SessionHost::new(
         engine(1),
         HostConfig {
             workers: 4,
+            ring_capacity: 16,
             ..HostConfig::default()
         },
     )
     .unwrap();
     let id = host.open_stream(DiscardSink).unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    host.push_chunk(id, &[&vec![0.5f64; 512]]).unwrap();
-    assert!(
-        host.wait_idle(Duration::from_secs(5)),
-        "a push never woke an idle worker"
-    );
+    let chunk = vec![0.5f64; 512];
+    for _ in 0..3 {
+        host.push_chunk(id, &[&chunk]).unwrap();
+    }
+    assert_eq!(host.stream_stats(id).unwrap().deferred, 3);
+    host.push_chunk(id, &[&chunk]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while host.stream_stats(id).unwrap().frames < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "a push that completes a frame never woke an idle worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(host.stream_stats(id).unwrap().frames, 1);
     assert!(
         drops_within(host, Duration::from_secs(5)),
         "dropping an idle host never woke its workers"

@@ -65,7 +65,11 @@ fn served_host() -> (SessionHost, StreamId, CountingSink) {
             &channels[0][start..start + CHUNK],
             &channels[1][start..start + CHUNK],
         ];
-        while host.stream_stats(id).unwrap().queued > 0 {
+        while host
+            .stream_stats(id)
+            .map(|stats| stats.queued > stats.deferred)
+            .unwrap()
+        {
             std::thread::sleep(Duration::from_micros(50));
         }
         host.push_chunk(id, &views).unwrap();
@@ -96,6 +100,7 @@ fn endpoint_serves_metrics_snapshot_and_events() {
         "ispot_sessions_open",
         "ispot_queue_depth",
         "ispot_degrade_level",
+        "ispot_worker_panics_total",
         "ispot_event_latency_seconds_bucket",
         "ispot_stage_latency_seconds_bucket",
     ] {
@@ -136,6 +141,13 @@ fn endpoint_serves_metrics_snapshot_and_events() {
     assert!(body.contains("\"degrade_level\":\"full\""));
     assert!(body.contains("\"stages\":{\"trigger\":"));
     assert!(body.contains("\"slot\":0"), "open stream missing: {body}");
+    assert!(body.contains("\"worker_panics\":0"), "{body}");
+    // `wait_idle` drained the stream, deferred chunks included.
+    assert!(
+        body.contains("\"queued\":0,\"deferred\":0,"),
+        "per-stream queue fields missing: {body}"
+    );
+    assert!(body.contains("\"quarantined\":false"), "{body}");
     assert!(
         body.contains("\"latest_event\":{"),
         "latest_event absent despite delivered events: {body}"

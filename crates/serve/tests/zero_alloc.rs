@@ -62,9 +62,10 @@ fn allocation_count() -> usize {
 
 const CHUNK: usize = 512;
 
-/// Pushes `rounds` siren chunks through the host, keeping the ring drained
-/// (each chunk is fully processed before the next push, so the window spans
-/// the complete submit→process→deliver path every time). Returns the
+/// Pushes `rounds` siren chunks through the host, keeping the ring drained of
+/// due work (each chunk that completes a frame is fully processed, together
+/// with the deferred chunk before it, before the next push, so the window
+/// spans the complete submit→process→deliver path every frame). Returns the
 /// allocation delta across the window.
 fn measure(host: &SessionHost, id: StreamId, channels: &[Vec<f64>], rounds: usize) -> usize {
     let len = channels[0].len();
@@ -80,7 +81,11 @@ fn measure(host: &SessionHost, id: StreamId, channels: &[Vec<f64>], rounds: usiz
         ];
         host.push_chunk(id, &views).unwrap();
         start += CHUNK;
-        while host.stream_stats(id).unwrap().queued > 0 {
+        while host
+            .stream_stats(id)
+            .map(|stats| stats.queued > stats.deferred)
+            .unwrap()
+        {
             std::thread::sleep(Duration::from_micros(20));
         }
     }
